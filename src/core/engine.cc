@@ -30,11 +30,18 @@ std::vector<tensor::IdArray> SplitLabeledIds(const tensor::IdArray& labeled, int
   return out;
 }
 
+const graph::Graph& PinnedGraph(const std::shared_ptr<const graph::Snapshot>& snapshot) {
+  GS_CHECK(snapshot != nullptr);
+  return snapshot->graph();
+}
+
 }  // namespace
 
 SamplerSession::SamplerSession(std::shared_ptr<CompiledPlan> plan, const graph::Graph& graph,
-                               std::map<std::string, tensor::Tensor> tensors)
+                               std::map<std::string, tensor::Tensor> tensors,
+                               std::shared_ptr<const graph::Snapshot> pin)
     : plan_(std::move(plan)),
+      snapshot_(std::move(pin)),
       graph_(&graph),
       rng_(plan_->options().seed),
       executor_(plan_->program(), ExecOptions{.layout = plan_->layout_mode()}),
@@ -48,18 +55,7 @@ SamplerSession::SamplerSession(std::shared_ptr<CompiledPlan> plan, const graph::
 SamplerSession::SamplerSession(std::shared_ptr<CompiledPlan> plan,
                                std::shared_ptr<const graph::Snapshot> snapshot,
                                std::map<std::string, tensor::Tensor> tensors)
-    : plan_(std::move(plan)),
-      snapshot_(std::move(snapshot)),
-      graph_(&snapshot_->graph()),
-      rng_(plan_->options().seed),
-      executor_(plan_->program(), ExecOptions{.layout = plan_->layout_mode()}),
-      tuned_super_batch_(plan_->tuned_super_batch()) {
-  GS_CHECK(plan_ != nullptr);
-  GS_CHECK(snapshot_ != nullptr);
-  bindings_.graph = &graph_->adj();
-  bindings_.tensors = std::move(tensors);
-  Precompute();
-}
+    : SamplerSession(std::move(plan), PinnedGraph(snapshot), std::move(tensors), snapshot) {}
 
 void SamplerSession::Precompute() {
   if (!plan_->options().enable_preprocessing) {

@@ -38,8 +38,11 @@ class BatchProducer;
 // and (when preprocessing is on) evaluation of batch-invariant values.
 class SamplerSession {
  public:
+  // `pin` (optional) is the snapshot `graph` belongs to: the session holds
+  // it for its whole lifetime (see the snapshot-pinning constructor).
   SamplerSession(std::shared_ptr<CompiledPlan> plan, const graph::Graph& graph,
-                 std::map<std::string, tensor::Tensor> tensors = {});
+                 std::map<std::string, tensor::Tensor> tensors = {},
+                 std::shared_ptr<const graph::Snapshot> pin = nullptr);
 
   // Snapshot-pinning constructor (gs::dyn): the session holds the snapshot's
   // shared_ptr for its whole lifetime, so the epoch's adjacency and features

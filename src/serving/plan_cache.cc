@@ -126,63 +126,58 @@ PlanCache::~PlanCache() {
   }
 }
 
+std::shared_ptr<core::SamplerSession> PlanCache::LookupLocked(const std::string& compile_key,
+                                                              const PlanKey& key) {
+  auto it = entries_.find(compile_key);
+  if (it == entries_.end() || it->second.session == nullptr) {
+    return nullptr;
+  }
+  const PlanKey& resident = it->second.session_key;
+  if (resident.dynamic != key.dynamic || resident.graph_epoch != key.graph_epoch ||
+      resident.graph_digest != key.graph_digest) {
+    return nullptr;
+  }
+  it->second.last_used = ++tick_;
+  ++stats_.hits;
+  return it->second.session;
+}
+
 std::shared_ptr<core::SamplerSession> PlanCache::GetOrBuild(const PlanKey& key,
                                                             const Factory& factory, bool* hit,
                                                             int64_t* compile_ns) {
-  const std::string canonical = key.Canonical();
-  {
+  const std::string compile_key = key.CompileKey();
+  auto lookup = [&] {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(canonical);
-    if (it != entries_.end()) {
-      it->second.last_used = ++tick_;
-      ++stats_.hits;
-      if (hit != nullptr) {
-        *hit = true;
-      }
-      if (compile_ns != nullptr) {
-        *compile_ns = 0;
-      }
-      return it->second.session;
-    }
-  }
-
+    return LookupLocked(compile_key, key);
+  };
+  std::shared_ptr<core::SamplerSession> session = lookup();
   // Build outside the table mutex (lookups stay fast) but under the build
   // mutex (construction touches shared lazily-cached graph structures).
-  std::lock_guard<std::mutex> build_lock(build_mutex_);
-  {
-    // Another thread may have built this plan while we waited.
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(canonical);
-    if (it != entries_.end()) {
-      it->second.last_used = ++tick_;
-      ++stats_.hits;
-      if (hit != nullptr) {
-        *hit = true;
-      }
-      if (compile_ns != nullptr) {
-        *compile_ns = 0;
-      }
-      return it->second.session;
+  std::unique_lock<std::mutex> build_lock(build_mutex_, std::defer_lock);
+  if (session == nullptr) {
+    build_lock.lock();
+    session = lookup();  // another thread may have built it while we waited
+  }
+  const bool resident = session != nullptr;
+  int64_t elapsed = 0;
+  if (!resident) {
+    Timer timer;
+    session = factory();
+    GS_CHECK(session != nullptr) << "plan factory returned null for " << key.Canonical();
+    GS_CHECK(session->warmed_up()) << "plan factory must Warmup() the session: "
+                                   << key.Canonical();
+    elapsed = timer.ElapsedNanos();
+    bool cached = false;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.misses;
+      cached = InsertLocked(compile_key, key, session);
     }
+    GS_LOG(Debug) << "plan cache: built " << key.Canonical() << " in " << elapsed / 1000000
+                  << " ms" << (cached ? "" : " (superseded epoch, not cached)");
   }
-
-  Timer timer;
-  std::shared_ptr<core::SamplerSession> session = factory();
-  GS_CHECK(session != nullptr) << "plan factory returned null for " << canonical;
-  GS_CHECK(session->warmed_up()) << "plan factory must Warmup() the session: " << canonical;
-  const int64_t elapsed = timer.ElapsedNanos();
-
-  Entry entry;
-  entry.session = session;
-  entry.resident_bytes = session->ResidentBytes();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.misses;
-    InsertLocked(canonical, std::move(entry));
-  }
-  GS_LOG(Debug) << "plan cache: built " << canonical << " in " << elapsed / 1000000 << " ms";
   if (hit != nullptr) {
-    *hit = false;
+    *hit = resident;
   }
   if (compile_ns != nullptr) {
     *compile_ns = elapsed;
@@ -193,33 +188,71 @@ std::shared_ptr<core::SamplerSession> PlanCache::GetOrBuild(const PlanKey& key,
 void PlanCache::Insert(const PlanKey& key, std::shared_ptr<core::SamplerSession> session) {
   GS_CHECK(session != nullptr);
   GS_CHECK(session->warmed_up()) << "Insert requires a warmed-up session";
-  Entry entry;
-  entry.resident_bytes = session->ResidentBytes();
-  entry.session = std::move(session);
-  const std::string canonical = key.Canonical();
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(canonical);
-  if (it != entries_.end()) {
-    // Replace: retire the old entry's accounting first.
-    stats_.resident_bytes -= it->second.resident_bytes;
-    stats_.entries -= 1;
-    if (allocator_ != nullptr) {
-      allocator_->AdjustReserved(-it->second.resident_bytes);
-    }
-    entries_.erase(it);
-  }
-  InsertLocked(canonical, std::move(entry));
+  InsertLocked(key.CompileKey(), key, std::move(session));
 }
 
-void PlanCache::InsertLocked(const std::string& canonical, Entry entry) {
+bool PlanCache::InsertLocked(const std::string& compile_key, const PlanKey& key,
+                             std::shared_ptr<core::SamplerSession> session) {
+  auto it = entries_.find(compile_key);
+  if (it == entries_.end()) {
+    it = entries_.emplace(compile_key, Entry{}).first;
+    stats_.entries = static_cast<int64_t>(entries_.size());
+  } else if (it->second.session != nullptr) {
+    if (it->second.session_key.graph_epoch > key.graph_epoch) {
+      return false;  // a newer epoch's session stays
+    }
+    TakeSessionLocked(it->second);  // replace (same epoch) or supersede (older)
+  }
+  Entry& entry = it->second;
+  entry.resident_bytes = session->ResidentBytes();
+  entry.session = std::move(session);
+  entry.session_key = key;
   entry.last_used = ++tick_;
   stats_.resident_bytes += entry.resident_bytes;
-  stats_.entries += 1;
   if (allocator_ != nullptr) {
     allocator_->AdjustReserved(entry.resident_bytes);
   }
-  entries_.emplace(canonical, std::move(entry));
-  EvictOverBudgetLocked(canonical);
+  while (stats_.resident_bytes > budget_bytes_ && EvictOneLocked(compile_key) >= 0) {
+  }
+  return true;
+}
+
+PlanJudgment PlanCache::Judge(const PlanKey& key, const graph::Snapshot& snapshot,
+                              std::shared_ptr<core::CompiledPlan>* plan, std::string* why) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(key.CompileKey());
+  if (it == entries_.end() || it->second.plan == nullptr) {
+    ++stats_.judged_miss;
+    return PlanJudgment::kMiss;
+  }
+  if (plan != nullptr) {
+    *plan = it->second.plan;
+  }
+  // Calibrated at this epoch (or a later one: a straggler request), or a
+  // predicate still within bounds: the plan is valid as-is.
+  if (it->second.plan_epoch >= snapshot.epoch() ||
+      it->second.plan->validity().CheckAgainst(snapshot.degree_stats(), why)) {
+    ++stats_.judged_valid;
+    return PlanJudgment::kValid;
+  }
+  ++stats_.judged_drifted;
+  return PlanJudgment::kDrifted;
+}
+
+void PlanCache::Publish(const PlanKey& key, std::shared_ptr<core::CompiledPlan> plan,
+                        const graph::Snapshot& snapshot) {
+  GS_CHECK(plan != nullptr);
+  GS_CHECK(plan->frozen()) << "published plans must be frozen";
+  std::lock_guard<std::mutex> lock(mutex_);
+  Entry& entry = entries_[key.CompileKey()];
+  stats_.entries = static_cast<int64_t>(entries_.size());
+  if (entry.plan != nullptr && entry.plan_epoch > snapshot.epoch()) {
+    return;  // never roll a plan back to an older epoch
+  }
+  entry.plan = std::move(plan);
+  entry.plan_epoch = snapshot.epoch();
+  ++stats_.publishes;
 }
 
 int64_t PlanCache::SaveAll(const std::string& dir) {
@@ -229,8 +262,10 @@ int64_t PlanCache::SaveAll(const std::string& dir) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     snapshot.reserve(entries_.size());
-    for (const auto& [canonical, entry] : entries_) {
-      snapshot.emplace_back(canonical, entry.session->plan_ptr());
+    for (const auto& [compile_key, entry] : entries_) {
+      if (entry.session != nullptr) {
+        snapshot.emplace_back(entry.session_key.Canonical(), entry.session->plan_ptr());
+      }
     }
   }
   std::filesystem::create_directories(dir);
@@ -284,14 +319,16 @@ int64_t PlanCache::LoadFrom(const std::string& dir, const Activator& activate) {
     }
     const std::string digest = line.substr(0, space);
     const std::string canonical = line.substr(space + 1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (entries_.find(canonical) != entries_.end()) {
-        continue;  // already resident
-      }
-    }
     try {
       const PlanKey key = PlanKey::Parse(canonical);
+      const std::string compile_key = key.CompileKey();
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = entries_.find(compile_key);
+        if (it != entries_.end() && it->second.session != nullptr) {
+          continue;  // already resident
+        }
+      }
       std::shared_ptr<core::CompiledPlan> plan =
           core::LoadPlanFile(dir + "/" + digest + ".plan");
       std::shared_ptr<core::SamplerSession> session = activate(key, std::move(plan));
@@ -299,11 +336,8 @@ int64_t PlanCache::LoadFrom(const std::string& dir, const Activator& activate) {
         continue;  // activator declined (unknown endpoint / wrong device)
       }
       GS_CHECK(session->warmed_up()) << "activator must Warmup() the session: " << canonical;
-      Entry entry;
-      entry.resident_bytes = session->ResidentBytes();
-      entry.session = std::move(session);
       std::lock_guard<std::mutex> lock(mutex_);
-      InsertLocked(canonical, std::move(entry));
+      InsertLocked(compile_key, key, std::move(session));
       ++stats_.plans_loaded;
       ++loaded;
     } catch (const std::exception& e) {
@@ -318,19 +352,21 @@ int64_t PlanCache::LoadFrom(const std::string& dir, const Activator& activate) {
   return loaded;
 }
 
-void PlanCache::EvictOverBudgetLocked(const std::string& keep_key) {
-  while (stats_.resident_bytes > budget_bytes_ && entries_.size() > 1) {
-    if (EvictOneLocked(keep_key) < 0) {
-      break;
-    }
+std::shared_ptr<core::SamplerSession> PlanCache::TakeSessionLocked(Entry& entry) {
+  stats_.resident_bytes -= entry.resident_bytes;
+  if (allocator_ != nullptr) {
+    allocator_->AdjustReserved(-entry.resident_bytes);
   }
+  entry.resident_bytes = 0;
+  return std::move(entry.session);
 }
 
-int64_t PlanCache::EvictOneLocked(const std::string& keep_key) {
+int64_t PlanCache::EvictOneLocked(const std::string& keep_key,
+                                  std::vector<std::shared_ptr<core::SamplerSession>>* dropped) {
   auto victim = entries_.end();
   uint64_t oldest = std::numeric_limits<uint64_t>::max();
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (!keep_key.empty() && it->first == keep_key) {
+    if (it->second.session == nullptr || (!keep_key.empty() && it->first == keep_key)) {
       continue;  // never evict the plan the caller is about to use
     }
     if (it->second.last_used < oldest) {
@@ -341,48 +377,36 @@ int64_t PlanCache::EvictOneLocked(const std::string& keep_key) {
   if (victim == entries_.end()) {
     return -1;
   }
-  GS_LOG(Debug) << "plan cache: evicting " << victim->first << " ("
+  GS_LOG(Debug) << "plan cache: evicting " << victim->second.session_key.Canonical() << " ("
                 << victim->second.resident_bytes << " bytes)";
   const int64_t released = victim->second.resident_bytes;
-  stats_.resident_bytes -= released;
-  stats_.entries -= 1;
   ++stats_.evictions;
-  if (allocator_ != nullptr) {
-    allocator_->AdjustReserved(-released);
-  }
   // In-flight executions holding the shared_ptr keep the session alive; the
   // memory returns to the allocator pool when the last user drops it.
-  entries_.erase(victim);
+  std::shared_ptr<core::SamplerSession> session = TakeSessionLocked(victim->second);
+  if (victim->second.plan == nullptr) {
+    entries_.erase(victim);  // frozen plans stay; a session-only record goes
+    stats_.entries = static_cast<int64_t>(entries_.size());
+  }
+  if (dropped != nullptr) {
+    dropped->push_back(std::move(session));
+  }
   return released;
 }
 
 int64_t PlanCache::ReleaseMemory(int64_t bytes_needed) {
-  // Dropped shared_ptrs (and their freed tensors) must not run under mutex_
-  // out of caution? They may: session destruction calls allocator Free, and
-  // the global lock order is handlers_mutex_ -> plan-cache mutex_ ->
-  // allocator mutex_, so holding mutex_ across the erase is safe. Still,
-  // collect the victims' sessions and release them after unlocking so the
-  // (potentially expensive) teardown does not serialize cache lookups.
+  // Session destruction calls allocator Free, and the global lock order is
+  // handlers_mutex_ -> plan-cache mutex_ -> allocator mutex_, so dropping
+  // sessions under mutex_ would be safe. Still, collect the victims and
+  // release them after unlocking so the (potentially expensive) teardown
+  // does not serialize cache lookups.
   std::vector<std::shared_ptr<core::SamplerSession>> dropped;
   int64_t released = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.pressure_releases;
-    while (released < bytes_needed && !entries_.empty()) {
-      // Peek the victim so its session can be kept alive past the erase.
-      auto victim = entries_.end();
-      uint64_t oldest = std::numeric_limits<uint64_t>::max();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second.last_used < oldest) {
-          oldest = it->second.last_used;
-          victim = it;
-        }
-      }
-      if (victim == entries_.end()) {
-        break;
-      }
-      dropped.push_back(victim->second.session);
-      const int64_t freed = EvictOneLocked("");
+    while (released < bytes_needed) {
+      const int64_t freed = EvictOneLocked("", &dropped);
       if (freed < 0) {
         break;
       }

@@ -1,13 +1,30 @@
-// Compiled-plan registry with LRU eviction under a byte budget.
+// The serving plan store: one record per compile key, LRU-evicted under a
+// byte budget.
 //
-// The cache holds warmed-up core::SamplerSession objects, each of which
-// shares an immutable core::CompiledPlan: program traced, passes run,
-// batch-invariant values pre-computed, layouts calibrated, and Warmup()
-// executed so the session is safe for concurrent const sampling. Building
-// one is the expensive part of serving a cold request (trace + pass
-// pipeline + calibration executions), so entries are cached keyed by
-// everything that affects the compiled artifact: algorithm, dataset, device
-// profile, pass configuration, and effective fanouts.
+// A record holds what serving keeps of one compiled plan:
+//   - the warmed-up core::SamplerSession for the newest graph epoch built so
+//     far. Building one is the expensive part of serving a cold request
+//     (trace + pass pipeline + calibration executions), so sessions are
+//     cached keyed by everything that affects the compiled artifact:
+//     algorithm, dataset, device profile, pass configuration, and
+//     effective fanouts (PlanKey::CompileKey());
+//   - for dynamic graphs (gs::dyn), the frozen core::CompiledPlan and the
+//     graph epoch it was calibrated against. Judge() checks the
+//     plan's validity predicate (core::PlanValidity) against a new epoch:
+//       kMiss    -> no plan: compile on the miss path (cold start).
+//       kValid   -> distribution still within bounds: rebuild a session
+//                   over the EXISTING frozen plan (no passes, no
+//                   calibration — epochs cost O(warmup), not O(compile)).
+//       kDrifted -> bounds violated: the stale plan may still SERVE (results
+//                   stay correct — layout decisions affect cost, not
+//                   values), but a recompile should be scheduled
+//                   (dyn::Replanner), which Publish()es the new plan.
+//
+// Superseded epochs: caching a session for epoch e drops the record's
+// session for any older epoch (in-flight executions keep theirs through the
+// shared_ptr), so old snapshots are not pinned by the cache. A request still
+// pinned at an older epoch gets a session that is built but not cached, so
+// it never displaces the newer one. Static keys are always epoch 0.
 //
 // Because the plan half is serializable, the cache can persist its plans to
 // a directory (SaveAll) and warm-start from one (LoadFrom): loaded plans
@@ -16,9 +33,10 @@
 //
 // Memory: a session pins its pre-computed tensors/matrices in device memory
 // (SamplerSession::ResidentBytes). The cache enforces its own byte budget
-// with least-recently-used eviction and mirrors the pinned total into the
-// CachingAllocator's reserved-bytes stat — attribution only; the bytes are
-// already counted in bytes_in_use, so no capacity is double-charged.
+// with least-recently-used eviction of sessions (frozen plans stay) and
+// mirrors the pinned total into the CachingAllocator's reserved-bytes stat —
+// attribution only; the bytes are already counted in bytes_in_use, so no
+// capacity is double-charged.
 
 #ifndef GSAMPLER_SERVING_PLAN_CACHE_H_
 #define GSAMPLER_SERVING_PLAN_CACHE_H_
@@ -33,6 +51,7 @@
 
 #include "core/engine.h"
 #include "device/allocator.h"
+#include "graph/store.h"
 
 namespace gs::serving {
 
@@ -62,7 +81,7 @@ struct PlanKey {
 
   std::string Canonical() const;
   // The canonical form WITHOUT the graph-version component: the epoch-
-  // independent compile identity (dyn::PlanTable's key). Equal to
+  // independent compile identity (the PlanCache record key). Equal to
   // Canonical() for static keys.
   std::string CompileKey() const;
   // Inverse of Canonical() (persisted plan-index lines). Throws gs::Error on
@@ -78,18 +97,31 @@ struct PlanKey {
 // logging only).
 std::string PassConfigDigest(const core::SamplerOptions& options);
 
+// Outcome of PlanCache::Judge for a dynamic key at a new graph epoch.
+enum class PlanJudgment {
+  kMiss,
+  kValid,
+  kDrifted,
+};
+
 struct PlanCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
-  int64_t evictions = 0;
+  int64_t evictions = 0;  // sessions dropped by the byte budget or the OOM ladder
   int64_t resident_bytes = 0;
-  int64_t entries = 0;
+  int64_t entries = 0;  // records: compile keys holding a session, a frozen plan, or both
   // Times the allocator's OOM ladder asked this cache to shrink.
   int64_t pressure_releases = 0;
   // Persisted-plan traffic (SaveAll / LoadFrom). Loads count as neither hits
   // nor misses: a warm-started server's first request is a hit.
   int64_t plans_saved = 0;
   int64_t plans_loaded = 0;
+  // Frozen-plan traffic (dynamic keys): Judge() outcomes and accepted
+  // Publish() calls (initial compiles + recompiles).
+  int64_t judged_miss = 0;
+  int64_t judged_valid = 0;
+  int64_t judged_drifted = 0;
+  int64_t publishes = 0;
 };
 
 class PlanCache {
@@ -104,7 +136,9 @@ class PlanCache {
 
   using Factory = std::function<std::shared_ptr<core::SamplerSession>()>;
 
-  // Returns the session for `key`, building it with `factory` on a miss.
+  // Returns the session for `key`, building it with `factory` on a miss. A
+  // built session is cached unless the record already holds one for a
+  // newer epoch (see "Superseded epochs" above).
   // Builds are serialized under one mutex: plan construction and warmup
   // materialize lazily cached structures on *shared* objects (the base
   // graph's format caches), which concurrent builds would race on. Lookups
@@ -118,8 +152,23 @@ class PlanCache {
   // Inserts (or replaces) a ready session for `key`. Used by the background
   // replanner (gs::dyn) to publish a freshly recompiled session so the next
   // request at that epoch hits instead of rebuilding; counts as neither hit
-  // nor miss.
+  // nor miss. Never replaces a session for a newer epoch.
   void Insert(const PlanKey& key, std::shared_ptr<core::SamplerSession> session);
+
+  // Judges the frozen plan published for `key`'s compile key against
+  // `snapshot`'s degree distribution. On kValid/kDrifted fills `plan`
+  // (optional) with the resident plan; on kDrifted fills `why` (optional)
+  // with the violated bound. A plan calibrated at `snapshot`'s epoch or a
+  // later one is valid for it.
+  PlanJudgment Judge(const PlanKey& key, const graph::Snapshot& snapshot,
+                     std::shared_ptr<core::CompiledPlan>* plan = nullptr,
+                     std::string* why = nullptr);
+
+  // Publishes (or replaces) the frozen plan for `key`'s compile key: a plan
+  // calibrated against `snapshot`. Never replaces a plan calibrated at a
+  // newer epoch. Frozen plans survive session eviction.
+  void Publish(const PlanKey& key, std::shared_ptr<core::CompiledPlan> plan,
+               const graph::Snapshot& snapshot);
 
   // Persists every resident entry's CompiledPlan into `dir` (created if
   // missing): one `<digest>.plan` artifact per entry plus an `index.txt`
@@ -139,32 +188,51 @@ class PlanCache {
   int64_t LoadFrom(const std::string& dir, const Activator& activate);
 
   // Memory-pressure response (registered with the allocator's OOM ladder
-  // when an allocator was supplied): evicts least-recently-used plans until
-  // at least `bytes_needed` of resident bytes were released or the cache is
-  // empty. Returns the released byte total. Also callable directly.
+  // when an allocator was supplied): evicts least-recently-used sessions
+  // until at least `bytes_needed` of resident bytes were released or no
+  // session is left. Returns the released byte total. Also callable
+  // directly.
   int64_t ReleaseMemory(int64_t bytes_needed);
 
   PlanCacheStats stats() const;
 
  private:
   struct Entry {
+    // Dynamic keys: the frozen plan and the graph version it was calibrated
+    // against (null for static keys, whose session owns the plan).
+    std::shared_ptr<core::CompiledPlan> plan;
+    uint64_t plan_epoch = 0;
+    // The newest epoch's session (null after eviction) and its full key.
     std::shared_ptr<core::SamplerSession> session;
+    PlanKey session_key;
     int64_t resident_bytes = 0;
     uint64_t last_used = 0;  // LRU tick
   };
+  using Entries = std::map<std::string, Entry>;
 
-  void InsertLocked(const std::string& canonical, Entry entry);
-  void EvictOverBudgetLocked(const std::string& keep_key);
-  // Evicts the LRU entry (skipping `keep_key` when non-empty); returns its
-  // resident bytes, or -1 when nothing evictable remains.
-  int64_t EvictOneLocked(const std::string& keep_key);
+  // Returns the record's session when it was built for exactly `key`'s
+  // graph version (null otherwise), counting a hit.
+  std::shared_ptr<core::SamplerSession> LookupLocked(const std::string& compile_key,
+                                                     const PlanKey& key);
+  // Caches `session` as the record's session unless the record holds one
+  // for a newer epoch. Returns whether it was cached.
+  bool InsertLocked(const std::string& compile_key, const PlanKey& key,
+                    std::shared_ptr<core::SamplerSession> session);
+  // Retires `entry`'s session from the byte accounting and returns it.
+  std::shared_ptr<core::SamplerSession> TakeSessionLocked(Entry& entry);
+  // Evicts the LRU session (skipping `keep_key` when non-empty), and its
+  // record too when that holds no frozen plan; returns the session's
+  // resident bytes, or -1 when nothing evictable remains. The evicted
+  // session is appended to `dropped` when given.
+  int64_t EvictOneLocked(const std::string& keep_key,
+                         std::vector<std::shared_ptr<core::SamplerSession>>* dropped = nullptr);
 
   const int64_t budget_bytes_;
   device::CachingAllocator* allocator_;
   int64_t pressure_handler_id_ = 0;  // 0 = not registered
   mutable std::mutex mutex_;        // guards table + stats
   std::mutex build_mutex_;          // serializes plan construction
-  std::map<std::string, Entry> entries_;
+  Entries entries_;  // by PlanKey::CompileKey()
   PlanCacheStats stats_;
   uint64_t tick_ = 0;
 };

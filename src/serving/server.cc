@@ -65,9 +65,9 @@ std::vector<int64_t> ShedFanouts(const std::vector<int64_t>& fanouts) {
   return shed;
 }
 
-// Registry-backed program construction shared by the static and dynamic
-// endpoint factories. Fanout vectors are honored for the fanout-
-// parameterized algorithms; others compile with their defaults.
+// Registry-backed program construction for every endpoint. Fanout vectors
+// are honored for the fanout-parameterized algorithms; others compile with
+// their defaults.
 algorithms::AlgorithmProgram BuildProgram(const std::string& algorithm, const graph::Graph& g,
                                           const std::vector<int64_t>& fanouts) {
   if (!fanouts.empty()) {
@@ -128,10 +128,6 @@ Endpoint MakeEndpoint(const std::string& algorithm, const std::string& dataset,
   ep.graph = &graph;
   ep.options = options;
   ep.default_fanouts = RegistryDefaultFanouts(algorithm);
-  const graph::Graph* g = &graph;
-  ep.factory = [algorithm, g](const std::vector<int64_t>& fanouts) {
-    return BuildProgram(algorithm, *g, fanouts);
-  };
   return ep;
 }
 
@@ -143,9 +139,6 @@ Endpoint MakeDynamicEndpoint(const std::string& algorithm, const std::string& da
   ep.store = &store;
   ep.options = options;
   ep.default_fanouts = RegistryDefaultFanouts(algorithm);
-  ep.dynamic_factory = [algorithm](const graph::Graph& g, const std::vector<int64_t>& fanouts) {
-    return BuildProgram(algorithm, g, fanouts);
-  };
   return ep;
 }
 
@@ -166,13 +159,8 @@ Server::~Server() { Stop(); }
 
 void Server::RegisterEndpoint(Endpoint endpoint) {
   GS_CHECK(!running_) << "endpoints must be registered before Start()";
-  if (endpoint.store != nullptr) {
-    GS_CHECK(endpoint.dynamic_factory != nullptr)
-        << "dynamic endpoints need a dynamic_factory (see MakeDynamicEndpoint)";
-  } else {
-    GS_CHECK(endpoint.graph != nullptr);
-    GS_CHECK(endpoint.factory != nullptr);
-  }
+  GS_CHECK(endpoint.store != nullptr || endpoint.graph != nullptr)
+      << "endpoints need a graph or a store (see MakeEndpoint / MakeDynamicEndpoint)";
   const std::string key = EndpointKey(endpoint.algorithm, endpoint.dataset);
   endpoints_[key] = std::move(endpoint);
 }
@@ -220,22 +208,8 @@ void Server::Start() {
       stats_.per_shard_completed[s] += 0;
     }
   }
-  if (options_.serve_features) {
-    // One store per dataset that actually has features; endpoints over
-    // feature-less datasets keep serving bare frontiers.
-    for (const auto& [key, endpoint] : endpoints_) {
-      const graph::Graph& graph =
-          endpoint.store != nullptr ? endpoint.store->Current()->graph() : *endpoint.graph;
-      if (graph.features().defined() &&
-          feature_stores_.find(endpoint.dataset) == feature_stores_.end()) {
-        std::lock_guard<std::mutex> lock(feature_mutex_);
-        feature_stores_[endpoint.dataset] =
-            std::make_shared<const feature::FeatureStore>(graph.features());
-      }
-    }
-  }
   // Dynamic endpoints: subscribe to each distinct store's mutation stream
-  // (incremental re-partition, feature refresh/invalidation, epoch
+  // (incremental re-partition, feature-cache invalidation, epoch
   // accounting) and start the background replanner. Listeners run on the
   // ingest thread — materialization, re-partitioning, and invalidation
   // never touch the serving path.
@@ -266,7 +240,7 @@ void Server::Start() {
   if (any_dynamic && options_.background_recompile) {
     replanner_ = std::make_unique<dyn::Replanner>(
         [this](const std::string& key, std::shared_ptr<const graph::Snapshot> snapshot) {
-          CompileForSnapshot(key, snapshot, /*background=*/true);
+          CompileForSnapshot(key, snapshot);
         });
     replanner_->Start();
   }
@@ -347,9 +321,7 @@ void Server::Stop() {
     const std::string tenant = pending->request.tenant;
     pending->promise.set_value(std::move(response));
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.failed;
-    ++stats_.failed_internal;
-    ++stats_.per_tenant_failed[tenant];
+    CountFailedLocked(tenant, fault::ErrorCode::kInternal);
   }
   GS_LOG(Info) << "serving: stopped";
 }
@@ -381,13 +353,7 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
     if (status == Status::kRejected) {
       ++stats_.rejected;
     } else {
-      ++stats_.failed;
-      ++stats_.per_tenant_failed[req.tenant];
-      if (code == fault::ErrorCode::kInvalidRequest) {
-        ++stats_.failed_invalid;
-      } else {
-        ++stats_.failed_internal;
-      }
+      CountFailedLocked(req.tenant, code);
     }
   };
 
@@ -624,18 +590,26 @@ void Server::CompleteExpired(std::unique_ptr<Pending> pending) {
   ++stats_.deadline_exceeded;
 }
 
-std::shared_ptr<core::SamplerSession> Server::CompileDynamicSession(
+std::shared_ptr<core::SamplerSession> Server::BuildSession(
     const Endpoint& endpoint, const PlanKey& key,
-    const std::shared_ptr<const graph::Snapshot>& snapshot) {
-  core::SamplerOptions options = endpoint.options;
-  options.super_batch = 1;
-  algorithms::AlgorithmProgram algorithm =
-      endpoint.dynamic_factory(snapshot->graph(), key.fanouts);
-  auto plan = std::make_shared<core::CompiledPlan>(std::move(algorithm.program), options,
-                                                   endpoint.algorithm);
-  auto session = std::make_shared<core::SamplerSession>(std::move(plan), snapshot,
-                                                        std::move(algorithm.tensors));
-  session->Warmup(WarmupFrontier(snapshot->graph()));
+    const std::shared_ptr<const graph::Snapshot>& snapshot,
+    std::shared_ptr<core::CompiledPlan> plan) {
+  const graph::Graph& graph = snapshot != nullptr ? snapshot->graph() : *endpoint.graph;
+  // With a given plan the re-trace only recovers the named tensor bindings;
+  // the plan (program + annotations + calibration) is used as-is, so no
+  // passes and no calibration run.
+  algorithms::AlgorithmProgram algorithm = BuildProgram(endpoint.algorithm, graph, key.fanouts);
+  if (plan == nullptr) {
+    core::SamplerOptions options = endpoint.options;
+    // The server groups requests itself; epoch-style super-batching inside
+    // the plan would fight the coalescer.
+    options.super_batch = 1;
+    plan = std::make_shared<core::CompiledPlan>(std::move(algorithm.program), options,
+                                                endpoint.algorithm);
+  }
+  auto session = std::make_shared<core::SamplerSession>(
+      std::move(plan), graph, std::move(algorithm.tensors), snapshot);
+  session->Warmup(WarmupFrontier(graph));
   AttachJit(session);
   return session;
 }
@@ -643,53 +617,36 @@ std::shared_ptr<core::SamplerSession> Server::CompileDynamicSession(
 std::shared_ptr<core::SamplerSession> Server::BuildPlan(
     const Endpoint& endpoint, const PlanKey& key,
     const std::shared_ptr<const graph::Snapshot>& snapshot) {
-  if (endpoint.store == nullptr || snapshot == nullptr) {
-    algorithms::AlgorithmProgram algorithm = endpoint.factory(key.fanouts);
-    core::SamplerOptions options = endpoint.options;
-    // The server groups requests itself; epoch-style super-batching inside
-    // the plan would fight the coalescer.
-    options.super_batch = 1;
-    auto plan = std::make_shared<core::CompiledPlan>(std::move(algorithm.program), options,
-                                                     endpoint.algorithm);
-    auto session = std::make_shared<core::SamplerSession>(std::move(plan), *endpoint.graph,
-                                                          std::move(algorithm.tensors));
-    session->Warmup(WarmupFrontier(*endpoint.graph));
-    AttachJit(session);
-    return session;
+  if (snapshot == nullptr) {
+    return BuildSession(endpoint, key, nullptr, nullptr);
   }
 
-  // Dynamic endpoint: consult the epoch-independent compile table before
-  // paying for passes + calibration.
-  const std::string compile_key = key.CompileKey();
-  dyn::PlanTable::Entry entry;
+  // Dynamic endpoint: judge the resident frozen plan before paying for
+  // passes + calibration.
+  std::shared_ptr<core::CompiledPlan> plan;
   std::string why;
-  const dyn::PlanJudgment judgment = plan_table_.Judge(compile_key, *snapshot, &entry, &why);
-  if (judgment == dyn::PlanJudgment::kMiss ||
-      (judgment == dyn::PlanJudgment::kDrifted && replanner_ == nullptr)) {
+  const PlanJudgment judgment = plan_cache_->Judge(key, *snapshot, &plan, &why);
+  if (judgment == PlanJudgment::kMiss ||
+      (judgment == PlanJudgment::kDrifted && replanner_ == nullptr)) {
     // Cold start, or drift with background recompilation disabled: the full
     // compile runs here on the serving path.
-    std::shared_ptr<core::SamplerSession> session = CompileDynamicSession(endpoint, key, snapshot);
-    plan_table_.Publish(compile_key, session->plan_ptr(), *snapshot);
+    std::shared_ptr<core::SamplerSession> session =
+        BuildSession(endpoint, key, snapshot, nullptr);
+    plan_cache_->Publish(key, session->plan_ptr(), *snapshot);
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.recompiles_inline;
     return session;
   }
 
-  // Cheap path: rebuild a session over the resident frozen plan — the
-  // re-trace only recovers the named tensor bindings; no passes and no
-  // calibration run. A drifted plan still serves correct results (layout
-  // decisions affect cost, never values) while the replanner recompiles off
-  // the serving path.
-  algorithms::AlgorithmProgram algorithm =
-      endpoint.dynamic_factory(snapshot->graph(), key.fanouts);
-  auto session = std::make_shared<core::SamplerSession>(entry.plan, snapshot,
-                                                        std::move(algorithm.tensors));
-  session->Warmup(WarmupFrontier(snapshot->graph()));
-  AttachJit(session);
-  if (judgment == dyn::PlanJudgment::kDrifted) {
-    GS_LOG(Info) << "serving: plan " << compile_key << " drifted past validity (" << why
+  // Cheap path: rebuild a session over the resident frozen plan. A drifted
+  // plan still serves correct results (layout decisions affect cost, never
+  // values) while the replanner recompiles off the serving path.
+  std::shared_ptr<core::SamplerSession> session =
+      BuildSession(endpoint, key, snapshot, std::move(plan));
+  if (judgment == PlanJudgment::kDrifted) {
+    GS_LOG(Info) << "serving: plan " << key.CompileKey() << " drifted past validity (" << why
                  << "); serving stale, recompiling in the background";
-    replanner_->Enqueue(compile_key, snapshot);
+    replanner_->Enqueue(key.CompileKey(), snapshot);
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.stale_plans_served;
   } else {
@@ -700,8 +657,7 @@ std::shared_ptr<core::SamplerSession> Server::BuildPlan(
 }
 
 void Server::CompileForSnapshot(const std::string& compile_key,
-                                const std::shared_ptr<const graph::Snapshot>& snapshot,
-                                bool background) {
+                                const std::shared_ptr<const graph::Snapshot>& snapshot) {
   PlanKey key = PlanKey::Parse(compile_key);
   const Endpoint* endpoint = FindEndpoint(key.algorithm, key.dataset);
   if (endpoint == nullptr || endpoint->store == nullptr) {
@@ -711,19 +667,34 @@ void Server::CompileForSnapshot(const std::string& compile_key,
   if (options_.num_shards > 1 && key.shard < static_cast<int>(shard_devices_.size())) {
     shard_guard.emplace(*shard_devices_[static_cast<size_t>(key.shard)]);
   }
-  std::shared_ptr<core::SamplerSession> session = CompileDynamicSession(*endpoint, key, snapshot);
-  plan_table_.Publish(compile_key, session->plan_ptr(), *snapshot);
-  // Publish the warmed session at its epoch so the next request there hits
-  // the cache instead of rebuilding.
   key.dynamic = true;
   key.graph_epoch = snapshot->epoch();
   key.graph_digest = snapshot->digest();
+  std::shared_ptr<core::SamplerSession> session = BuildSession(*endpoint, key, snapshot, nullptr);
+  // Publish the plan and the warmed session at its epoch so the next
+  // request there hits the cache instead of rebuilding.
+  plan_cache_->Publish(key, session->plan_ptr(), *snapshot);
   plan_cache_->Insert(key, std::move(session));
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  if (background) {
-    ++stats_.recompiles_background;
-  } else {
-    ++stats_.recompiles_inline;
+  ++stats_.recompiles_background;
+}
+
+void Server::CountFailedLocked(const std::string& tenant, fault::ErrorCode code) {
+  ++stats_.failed;
+  ++stats_.per_tenant_failed[tenant];
+  switch (code) {
+    case fault::ErrorCode::kTransient:
+      ++stats_.failed_transient;
+      break;
+    case fault::ErrorCode::kResourceExhausted:
+      ++stats_.failed_resource_exhausted;
+      break;
+    case fault::ErrorCode::kInvalidRequest:
+      ++stats_.failed_invalid;
+      break;
+    default:
+      ++stats_.failed_internal;
+      break;
   }
 }
 
@@ -752,25 +723,20 @@ void Server::OnMutation(const std::string& dataset,
       stats_.partition_segments_reused += next->segments_reused();
     }
   }
-  // Feature tier: swap the store to the epoch's (copied-on-write) tensor
-  // and invalidate exactly the mutated rows in every cache partition of
-  // this dataset — un-touched rows are identical across epochs, so their
-  // cached copies stay valid.
+  // Feature tier: invalidate exactly the mutated rows in every cache
+  // partition of this dataset — un-touched rows are identical across
+  // epochs, so their cached copies stay valid.
   if (!batch.update_features.empty()) {
     int64_t invalidated = 0;
     {
       std::lock_guard<std::mutex> lock(feature_mutex_);
-      auto it = feature_stores_.find(dataset);
-      if (it != feature_stores_.end()) {
-        it->second = std::make_shared<const feature::FeatureStore>(snapshot->graph().features());
-        const std::string suffix = "|" + dataset;
-        for (auto& [cache_key, cache] : feature_caches_) {
-          if (cache_key.size() >= suffix.size() &&
-              cache_key.compare(cache_key.size() - suffix.size(), suffix.size(), suffix) == 0) {
-            for (const graph::FeatureUpdate& update : batch.update_features) {
-              cache->Invalidate(static_cast<uint64_t>(update.node));
-              ++invalidated;
-            }
+      const std::string suffix = "|" + dataset;
+      for (auto& [cache_key, cache] : feature_caches_) {
+        if (cache_key.size() >= suffix.size() &&
+            cache_key.compare(cache_key.size() - suffix.size(), suffix.size(), suffix) == 0) {
+          for (const graph::FeatureUpdate& update : batch.update_features) {
+            cache->Invalidate(static_cast<uint64_t>(update.node));
+            ++invalidated;
           }
         }
       }
@@ -820,32 +786,21 @@ std::shared_ptr<core::SamplerSession> Server::ActivatePlan(
   if (options_.num_shards > 1) {
     shard_guard.emplace(*shard_devices_[static_cast<size_t>(key.shard)]);
   }
+  std::shared_ptr<const graph::Snapshot> snapshot;
   if (key.dynamic) {
     // A persisted dynamic plan is only servable when the store's current
     // epoch has the exact digest it was calibrated against; anything else
-    // must recompile through the plan table's validity machinery.
-    const std::shared_ptr<const graph::Snapshot> snapshot = endpoint->store->Current();
+    // must recompile through the plan cache's validity judgment.
+    snapshot = endpoint->store->Current();
     if (key.graph_digest != snapshot->digest()) {
       return nullptr;
     }
-    algorithms::AlgorithmProgram algorithm =
-        endpoint->dynamic_factory(snapshot->graph(), key.fanouts);
-    std::shared_ptr<core::CompiledPlan> shared = std::move(plan);
-    auto session = std::make_shared<core::SamplerSession>(shared, snapshot,
-                                                          std::move(algorithm.tensors));
-    session->Warmup(WarmupFrontier(snapshot->graph()));
-    AttachJit(session);
-    plan_table_.Publish(key.CompileKey(), std::move(shared), *snapshot);
-    return session;
   }
-  // The factory re-traces only to recover the named tensor bindings; the
-  // persisted plan (program + annotations + calibration) is used as-is, so
-  // no passes and no calibration run here.
-  algorithms::AlgorithmProgram algorithm = endpoint->factory(key.fanouts);
-  auto session = std::make_shared<core::SamplerSession>(std::move(plan), *endpoint->graph,
-                                                        std::move(algorithm.tensors));
-  session->Warmup(WarmupFrontier(*endpoint->graph));
-  AttachJit(session);
+  std::shared_ptr<core::SamplerSession> session =
+      BuildSession(*endpoint, key, snapshot, std::move(plan));
+  if (snapshot != nullptr) {
+    plan_cache_->Publish(key, session->plan_ptr(), *snapshot);
+  }
   return session;
 }
 
@@ -1153,46 +1108,39 @@ void Server::ExecuteAndScatter(std::vector<std::unique_ptr<Pending>> group) {
   feature::GatherStats group_gather;
   int64_t feature_responses = 0;
   int64_t feature_wall_ns = 0;
-  if (options_.serve_features && error.empty()) {
-    // Pin the store: a feature mutation swaps feature_stores_[dataset] under
-    // feature_mutex_, and this group must gather from one consistent tensor.
-    std::shared_ptr<const feature::FeatureStore> pinned_store;
-    {
-      std::lock_guard<std::mutex> lock(feature_mutex_);
-      auto store_it = feature_stores_.find(endpoint->dataset);
-      if (store_it != feature_stores_.end()) {
-        pinned_store = store_it->second;
+  // Rows come from the group's own graph: a dynamic group's pinned snapshot
+  // holds its epoch's feature tensor, so feature updates applied while the
+  // group was in flight never leak into its responses.
+  const graph::Graph& served =
+      leader.snapshot != nullptr ? leader.snapshot->graph() : *endpoint->graph;
+  if (options_.serve_features && error.empty() && served.features().defined()) {
+    const feature::FeatureStore store(served.features());
+    for (size_t i = 0; i < group.size(); ++i) {
+      SampleResponse& response = responses[i];
+      if (response.status != Status::kOk) {
+        continue;
       }
-    }
-    if (pinned_store != nullptr) {
-      const feature::FeatureStore& store = *pinned_store;
-      for (size_t i = 0; i < group.size(); ++i) {
-        SampleResponse& response = responses[i];
-        if (response.status != Status::kOk) {
-          continue;
-        }
-        feature::HotSetCache* cache = TenantFeatureCache(
-            exec_shard, group[i]->request.tenant, endpoint->dataset, store.row_bytes());
-        Timer feature_timer;
-        try {
-          const tensor::IdArray& ids =
-              FeatureFrontier(response.outputs, group[i]->request.seeds);
-          response.features = store.Gather(ids, cache, &group_gather);
-          response.feature_ids = ids;
-          response.stages.feature_ns = feature_timer.ElapsedNanos();
-          feature_wall_ns += response.stages.feature_ns;
-          ++feature_responses;
-        } catch (const std::exception& e) {
-          // A failed gather (injected transfer fault) fails the response —
-          // a frontier without the features the caller asked for is not a
-          // success — but never the worker.
-          response.status = Status::kFailed;
-          response.outputs.clear();
-          response.features = {};
-          response.feature_ids = {};
-          response.error = std::string("feature gather failed: ") + e.what();
-          response.code = fault::Classify(e);
-        }
+      feature::HotSetCache* cache = TenantFeatureCache(
+          exec_shard, group[i]->request.tenant, endpoint->dataset, store.row_bytes());
+      Timer feature_timer;
+      try {
+        const tensor::IdArray& ids =
+            FeatureFrontier(response.outputs, group[i]->request.seeds);
+        response.features = store.Gather(ids, cache, &group_gather);
+        response.feature_ids = ids;
+        response.stages.feature_ns = feature_timer.ElapsedNanos();
+        feature_wall_ns += response.stages.feature_ns;
+        ++feature_responses;
+      } catch (const std::exception& e) {
+        // A failed gather (injected transfer fault) fails the response —
+        // a frontier without the features the caller asked for is not a
+        // success — but never the worker.
+        response.status = Status::kFailed;
+        response.outputs.clear();
+        response.features = {};
+        response.feature_ids = {};
+        response.error = std::string("feature gather failed: ") + e.what();
+        response.code = fault::Classify(e);
       }
     }
   }
@@ -1254,22 +1202,7 @@ void Server::ExecuteAndScatter(std::vector<std::unique_ptr<Pending>> group) {
         }
         shard_latency_[static_cast<size_t>(exec_shard)].Record(totals[i]);
       } else {
-        ++stats_.failed;
-        ++stats_.per_tenant_failed[group[i]->request.tenant];
-        switch (responses[i].code) {
-          case fault::ErrorCode::kTransient:
-            ++stats_.failed_transient;
-            break;
-          case fault::ErrorCode::kResourceExhausted:
-            ++stats_.failed_resource_exhausted;
-            break;
-          case fault::ErrorCode::kInvalidRequest:
-            ++stats_.failed_invalid;
-            break;
-          default:
-            ++stats_.failed_internal;
-            break;
-        }
+        CountFailedLocked(group[i]->request.tenant, responses[i].code);
       }
     }
   }
@@ -1390,22 +1323,7 @@ void Server::ServeDegraded(std::vector<std::unique_ptr<Pending>> group, const En
           shard_latency_[static_cast<size_t>(exec)].Record(total);
         }
       } else {
-        ++stats_.failed;
-        ++stats_.per_tenant_failed[group[i]->request.tenant];
-        switch (responses[i].code) {
-          case fault::ErrorCode::kTransient:
-            ++stats_.failed_transient;
-            break;
-          case fault::ErrorCode::kResourceExhausted:
-            ++stats_.failed_resource_exhausted;
-            break;
-          case fault::ErrorCode::kInvalidRequest:
-            ++stats_.failed_invalid;
-            break;
-          default:
-            ++stats_.failed_internal;
-            break;
-        }
+        CountFailedLocked(group[i]->request.tenant, responses[i].code);
       }
     }
   }
@@ -1423,6 +1341,7 @@ ServerStats Server::stats() const {
     snapshot.plan_cache_misses = cache.misses;
     snapshot.plan_cache_evictions = cache.evictions;
     snapshot.plan_resident_bytes = cache.resident_bytes;
+    snapshot.plan_cache_entries = cache.entries;
     snapshot.plans_saved = cache.plans_saved;
     snapshot.plans_loaded = cache.plans_loaded;
   }

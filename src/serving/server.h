@@ -55,7 +55,6 @@
 #include "algorithms/algorithms.h"
 #include "core/engine.h"
 #include "device/device.h"
-#include "dyn/plan_table.h"
 #include "dyn/replanner.h"
 #include "feature/hot_set_cache.h"
 #include "feature/store.h"
@@ -75,40 +74,36 @@ class JitEngine;
 
 namespace gs::serving {
 
-// A servable (algorithm, dataset) pair. The factory builds the traced
-// program for a given effective fanout vector (empty = algorithm defaults);
-// the sampler options are part of the plan key.
+// A servable (algorithm, dataset) pair over the Table-2 registry. Programs
+// are traced per effective fanout vector (empty = algorithm defaults); the
+// sampler options are part of the plan key.
 struct Endpoint {
   std::string algorithm;
   std::string dataset;
+  // The static graph served (must outlive the server).
   const graph::Graph* graph = nullptr;
-  std::function<algorithms::AlgorithmProgram(const std::vector<int64_t>& fanouts)> factory;
   core::SamplerOptions options;
   // Fallback fanouts used when a request does not specify any and overload
   // shedding needs something to halve.
   std::vector<int64_t> default_fanouts;
   // Dynamic graphs (gs::dyn): a mutable versioned store instead of a static
-  // graph. When set, `graph`/`factory` are ignored: every request resolves
-  // the store's latest snapshot at admission (and pins it to completion),
-  // the plan key carries the snapshot's epoch + digest, and programs are
-  // traced by `dynamic_factory` against the pinned snapshot's graph. The
-  // store must outlive the server.
+  // graph. When set, `graph` is ignored: every request resolves the store's
+  // latest snapshot at admission (and pins it to completion), the plan key
+  // carries the snapshot's epoch + digest, and programs are traced against
+  // the pinned snapshot's graph. The store must outlive the server.
   graph::GraphStore* store = nullptr;
-  std::function<algorithms::AlgorithmProgram(const graph::Graph& graph,
-                                             const std::vector<int64_t>& fanouts)>
-      dynamic_factory;
 };
 
-// Convenience endpoint over the Table-2 registry. Fanout vectors are honored
-// for the fanout-parameterized algorithms (GraphSAGE, GCN-BS, Thanos,
-// FastGCN, LADIES); others compile with their defaults.
+// Endpoint over a static graph. Fanout vectors are honored for the
+// fanout-parameterized algorithms (GraphSAGE, GCN-BS, Thanos, PASS, FastGCN,
+// LADIES, AS-GCN); others compile with their defaults.
 Endpoint MakeEndpoint(const std::string& algorithm, const std::string& dataset,
                       const graph::Graph& graph, core::SamplerOptions options = {});
 
 // The dynamic twin of MakeEndpoint: serves `store`'s evolving graph. Same
 // algorithm registry, but programs are traced per epoch against the pinned
 // snapshot and compiled plans are reused across epochs while their validity
-// predicate holds (see dyn::PlanTable).
+// predicate holds (see PlanCache::Judge).
 Endpoint MakeDynamicEndpoint(const std::string& algorithm, const std::string& dataset,
                              graph::GraphStore& store, core::SamplerOptions options = {});
 
@@ -215,9 +210,8 @@ class Server {
   // Exposed for tests and for operators polling failover state.
   const ha::HealthMonitor* health_monitor() const { return monitor_.get(); }
 
-  // Dynamic graphs: the epoch-independent compile table and a test hook
+  // Dynamic graphs: the background replanner's counters and a test hook
   // that blocks until every queued background recompile has run.
-  dyn::PlanTableStats plan_table_stats() const { return plan_table_.stats(); }
   dyn::ReplannerStats replanner_stats() const;
   void DrainRecompiles();
 
@@ -256,28 +250,33 @@ class Server {
   // Status::kDegraded plus the coverage fraction — never a request error.
   void ServeDegraded(std::vector<std::unique_ptr<Pending>> group, const Endpoint& endpoint,
                      const graph::Partition& partition);
-  // Compiles + warms up a fresh session for `key` (plan-cache miss path).
-  // For dynamic endpoints (`snapshot` non-null) the compile table is
-  // consulted first: a still-valid frozen plan gets a cheap session rebuild
-  // (no passes, no calibration); a drifted one serves stale and schedules a
-  // background recompile.
+  // The one session factory: traces the endpoint's program against the
+  // served graph (the pinned `snapshot` for dynamic endpoints, else the
+  // endpoint's static graph), builds a session over `plan` — or over a
+  // freshly compiled plan (passes + calibration) when `plan` is null — and
+  // warms it up with the JIT attached.
+  std::shared_ptr<core::SamplerSession> BuildSession(
+      const Endpoint& endpoint, const PlanKey& key,
+      const std::shared_ptr<const graph::Snapshot>& snapshot,
+      std::shared_ptr<core::CompiledPlan> plan);
+  // Plan-cache miss path for `key`. For dynamic endpoints (`snapshot`
+  // non-null) the resident frozen plan is judged first: a still-valid one
+  // gets a cheap session rebuild (no passes, no calibration); a drifted one
+  // serves stale and schedules a background recompile.
   std::shared_ptr<core::SamplerSession> BuildPlan(
       const Endpoint& endpoint, const PlanKey& key,
       const std::shared_ptr<const graph::Snapshot>& snapshot);
-  // Full compile (trace + passes + calibration + warmup) of a dynamic
-  // endpoint's session against one pinned snapshot.
-  std::shared_ptr<core::SamplerSession> CompileDynamicSession(
-      const Endpoint& endpoint, const PlanKey& key,
-      const std::shared_ptr<const graph::Snapshot>& snapshot);
   // Replanner job body: full compile of `compile_key` against `snapshot`,
-  // publishing into the plan table and the session cache so the next
+  // publishing the plan and the session into the plan cache so the next
   // request at that epoch hits. Runs on the replanner thread.
   void CompileForSnapshot(const std::string& compile_key,
-                          const std::shared_ptr<const graph::Snapshot>& snapshot,
-                          bool background);
+                          const std::shared_ptr<const graph::Snapshot>& snapshot);
+  // Counts one failed request of `tenant` under its error code. Caller
+  // holds stats_mutex_.
+  void CountFailedLocked(const std::string& tenant, fault::ErrorCode code);
   // Mutation listener (runs on the ingest thread, never a serving worker):
-  // incremental re-partition, feature-store refresh + cache invalidation,
-  // and epoch accounting.
+  // incremental re-partition, feature-cache invalidation, and epoch
+  // accounting.
   void OnMutation(const std::string& dataset,
                   const std::shared_ptr<const graph::Snapshot>& snapshot,
                   const graph::MutationBatch& batch);
@@ -295,8 +294,8 @@ class Server {
   feature::HotSetCache* TenantFeatureCache(int shard, const std::string& tenant,
                                            const std::string& dataset, int64_t row_bytes);
   // Installs the plan's JIT jump table on a freshly built session (no-op
-  // when options_.jit is off). Must run before the session's Warmup so even
-  // the warmup batch exercises the compiled kernels.
+  // when options_.jit is off). Runs after the session's Warmup (see
+  // server.cc for why).
   void AttachJit(const std::shared_ptr<core::SamplerSession>& session);
 
   ServerOptions options_;
@@ -308,17 +307,14 @@ class Server {
   std::map<std::string, std::shared_ptr<const graph::Partition>> partitions_;
   std::vector<std::unique_ptr<device::Device>> shard_devices_;
   std::unique_ptr<ha::HealthMonitor> monitor_;
-  // Feature serving: one store per dataset with features, plus per-
-  // (shard, tenant, dataset) cache partitions. Declared after
-  // shard_devices_ so the caches (whose backing pages live on those
-  // devices) are destroyed first. Stores are swapped (under feature_mutex_)
-  // when a mutation epoch copies the feature tensor on write.
-  std::map<std::string, std::shared_ptr<const feature::FeatureStore>> feature_stores_;
+  // Feature serving: per-(shard, tenant, dataset) cache partitions; rows
+  // are gathered from the executing group's own graph (its pinned snapshot
+  // for dynamic endpoints). Declared after shard_devices_ so the caches
+  // (whose backing pages live on those devices) are destroyed first.
   mutable std::mutex feature_mutex_;
   std::map<std::string, std::unique_ptr<feature::HotSetCache>> feature_caches_;
-  // Dynamic graphs: the epoch-independent compile table, the background
-  // recompilation worker, and the store listeners to unregister at Stop().
-  dyn::PlanTable plan_table_;
+  // Dynamic graphs: the background recompilation worker and the store
+  // listeners to unregister at Stop().
   std::unique_ptr<dyn::Replanner> replanner_;
   std::vector<std::pair<graph::GraphStore*, int64_t>> store_listeners_;
   // JIT region compiler (ServerOptions::jit); artifacts live in plan_dir.

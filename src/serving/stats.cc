@@ -82,7 +82,8 @@ std::string ServerStats::ToString() const {
       << " coalesced=" << coalesced_executions << " coalescing_ratio=" << CoalescingRatio()
       << " plan_hits=" << plan_cache_hits << " plan_misses=" << plan_cache_misses
       << " plan_evictions=" << plan_cache_evictions
-      << " plan_resident_bytes=" << plan_resident_bytes << " plans_saved=" << plans_saved
+      << " plan_resident_bytes=" << plan_resident_bytes
+      << " plan_cache_entries=" << plan_cache_entries << " plans_saved=" << plans_saved
       << " plans_loaded=" << plans_loaded
       << " transient_retries=" << transient_retries << " shed_retries=" << shed_retries
       << " worker_exceptions=" << worker_exceptions

@@ -55,6 +55,7 @@ struct ServerStats {
   int64_t plan_cache_misses = 0;
   int64_t plan_cache_evictions = 0;
   int64_t plan_resident_bytes = 0;
+  int64_t plan_cache_entries = 0;  // compile keys resident (see PlanCacheStats::entries)
   int64_t plans_saved = 0;   // plan artifacts persisted to the plan dir
   int64_t plans_loaded = 0;  // sessions warm-started from persisted plans
 
@@ -95,10 +96,12 @@ struct ServerStats {
 
   // Dynamic graphs (gs::dyn): online-mutation traffic and what each epoch
   // cost the plan layer. `plan_reuses` + `stale_plans_served` are the
-  // cheap-path sessions (no passes, no calibration); `recompiles_inline`
-  // are full compiles on the serving path (cold starts, or drifted plans
-  // with background recompilation disabled); `recompiles_background` ran on
-  // the replanner thread, never blocking a request.
+  // cheap-path sessions (no passes, no calibration), including uncached
+  // rebuilds for straggler requests still pinned at a superseded epoch;
+  // `recompiles_inline` are full compiles on the serving path (cold starts,
+  // or drifted plans with background recompilation disabled);
+  // `recompiles_background` ran on the replanner thread, never blocking a
+  // request.
   int64_t graph_epochs = 0;            // mutation epochs observed (all stores)
   int64_t plan_reuses = 0;             // sessions rebuilt over a still-valid frozen plan
   int64_t stale_plans_served = 0;      // drifted plans that kept serving while recompiling

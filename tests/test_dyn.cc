@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,12 +26,13 @@
 #include "core/plan.h"
 #include "device/device.h"
 #include "dyn/mutation_gen.h"
-#include "dyn/plan_table.h"
 #include "dyn/replanner.h"
+#include "fault/fault.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "graph/store.h"
 #include "oracle/oracle.h"
+#include "serving/plan_cache.h"
 #include "serving/server.h"
 #include "shard/shard.h"
 #include "tests/testing.h"
@@ -265,9 +270,9 @@ TEST(PlanValidityTest, CheckAgainstBounds) {
   EXPECT_NE(why.find("hub"), std::string::npos);
 }
 
-// ------------------------------------------------------------- plan table
+// ------------------------------------------------- plan judgment (cache)
 
-TEST(PlanTableTest, JudgeMissValidDriftedLifecycle) {
+TEST(PlanCacheJudgeTest, JudgeMissValidDriftedLifecycle) {
   GraphStore store(testing::SmallRmat());
   const std::shared_ptr<const Snapshot> snap0 = store.Current();
 
@@ -280,31 +285,32 @@ TEST(PlanTableTest, JudgeMissValidDriftedLifecycle) {
   session.Warmup(Seeds({0, 1, 2, 3}));
   ASSERT_TRUE(plan->validity().bound);
 
-  dyn::PlanTable table;
-  EXPECT_EQ(table.Judge("k", *snap0), dyn::PlanJudgment::kMiss);
-  table.Publish("k", plan, *snap0);
-  EXPECT_EQ(table.Judge("k", *snap0), dyn::PlanJudgment::kValid);  // same epoch
+  serving::PlanCache table(int64_t{64} * 1024 * 1024, nullptr);
+  const serving::PlanKey k{"GraphSAGE", "rmat", "dev", "cfg", {}};
+  EXPECT_EQ(table.Judge(k, *snap0), serving::PlanJudgment::kMiss);
+  table.Publish(k, plan, *snap0);
+  EXPECT_EQ(table.Judge(k, *snap0), serving::PlanJudgment::kValid);  // same epoch
 
   // A small epoch stays within the drift bounds.
   MutationBatch small;
   small.add_edges.push_back({7, 200, 1.0f});
   small.add_edges.push_back({8, 201, 1.0f});
   const auto snap1 = store.Apply(small);
-  EXPECT_EQ(table.Judge("k", *snap1), dyn::PlanJudgment::kValid);
+  EXPECT_EQ(table.Judge(k, *snap1), serving::PlanJudgment::kValid);
 
   // A massive epoch (mean in-degree +>25%) drifts the predicate.
   const auto snap2 = store.Apply(DriftBatch(/*first_dst=*/250, /*cols=*/50, /*per_col=*/50));
-  dyn::PlanTable::Entry entry;
+  std::shared_ptr<core::CompiledPlan> resident;
   std::string why;
-  EXPECT_EQ(table.Judge("k", *snap2, &entry, &why), dyn::PlanJudgment::kDrifted);
-  EXPECT_EQ(entry.plan.get(), plan.get());  // the stale plan still serves
+  EXPECT_EQ(table.Judge(k, *snap2, &resident, &why), serving::PlanJudgment::kDrifted);
+  EXPECT_EQ(resident.get(), plan.get());  // the stale plan still serves
   EXPECT_FALSE(why.empty());
 
   // Republishing against the drifted epoch revalidates it.
-  table.Publish("k", plan, *snap2);
-  EXPECT_EQ(table.Judge("k", *snap2), dyn::PlanJudgment::kValid);
+  table.Publish(k, plan, *snap2);
+  EXPECT_EQ(table.Judge(k, *snap2), serving::PlanJudgment::kValid);
 
-  const dyn::PlanTableStats stats = table.stats();
+  const serving::PlanCacheStats stats = table.stats();
   EXPECT_EQ(stats.entries, 1);
   EXPECT_EQ(stats.judged_miss, 1);
   EXPECT_EQ(stats.judged_valid, 3);
@@ -623,6 +629,169 @@ TEST(DynServing, DriftedEpochServesStaleWhileBackgroundRecompiles) {
   EXPECT_GE(stats.recompiles_background, 1);
   EXPECT_GE(server.replanner_stats().compiled, 1);
   EXPECT_EQ(server.replanner_stats().failures, 0);
+}
+
+// --------------------------------------------- one plan store under epochs
+
+serving::SampleRequest SageRequest(uint64_t seed) {
+  serving::SampleRequest req;
+  req.algorithm = "GraphSAGE";
+  req.dataset = "rmat";
+  req.seeds = Seeds({1, 2, 3, 4});
+  req.seed = seed;
+  req.fanouts = {4, 3};
+  return req;
+}
+
+// Waits (up to 10 s) until the transient fault the caller injected has put
+// `server`'s execution into its retry backoff; false if it never fired.
+bool AwaitTransientRetry(const serving::Server& server) {
+  for (int ms = 0; ms < 10000 && server.stats().transient_retries == 0; ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return server.stats().transient_retries > 0;
+}
+
+// The merged store keeps one session per compile key: twenty epochs later
+// the cache holds one record with one session's bytes, and nothing the
+// server keeps pins epoch 0's snapshot.
+TEST(DynServing, SupersededEpochsReleaseSessionsAndSnapshots) {
+  graph::Graph g = testing::SmallRmat(400, 4000, 11);
+  const int64_t nodes = g.num_nodes();
+  GraphStore store(std::move(g));
+  const std::weak_ptr<const Snapshot> epoch0 = store.Current();
+
+  serving::ServerOptions options;
+  options.num_workers = 1;
+  serving::Server server(options);
+  // FastGCN pins pre-computed tensors, so every session has resident bytes.
+  server.RegisterEndpoint(serving::MakeDynamicEndpoint("FastGCN", "rmat", store));
+  server.Start();
+  auto serve = [&](uint64_t seed) {
+    serving::SampleRequest req;
+    req.algorithm = "FastGCN";
+    req.dataset = "rmat";
+    req.seeds = Seeds({1, 2, 3, 4});
+    req.seed = seed;
+    const serving::SampleResponse response = server.Submit(req).get();
+    EXPECT_EQ(response.status, serving::Status::kOk) << response.error;
+  };
+
+  serve(0);
+  const serving::ServerStats first = server.stats();
+  ASSERT_GT(first.plan_resident_bytes, 0);
+  dyn::MutationGen gen(GenOptions(nodes, 0xE90C));
+  const int kEpochs = 20;
+  for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+    store.Apply(gen.Next());
+    serve(static_cast<uint64_t>(epoch));
+  }
+  server.DrainRecompiles();
+  const serving::ServerStats last = server.stats();
+  EXPECT_EQ(last.graph_epochs, kEpochs);
+  EXPECT_EQ(first.plan_cache_entries, 1);
+  EXPECT_EQ(last.plan_cache_entries, 1);
+  EXPECT_LE(last.plan_resident_bytes, 2 * first.plan_resident_bytes);
+  EXPECT_TRUE(epoch0.expired()) << "a superseded session still pins epoch 0";
+  server.Stop();
+}
+
+// A request pinned at epoch 0 that retries after epoch 1's session was
+// cached is a straggler: it is served over the resident frozen plan,
+// bit-identically to a session on its pinned snapshot, and epoch 1's
+// session stays resident.
+TEST(DynServing, StragglerIsServedBitIdenticallyWithoutDisplacingTheNewerEpoch) {
+  GraphStore store(testing::SmallRmat(400, 4000, 11));
+  serving::ServerOptions options;
+  options.num_workers = 2;
+  options.retry_backoff = std::chrono::seconds(1);
+  serving::Server server(options);
+  server.RegisterEndpoint(serving::MakeDynamicEndpoint("GraphSAGE", "rmat", store));
+  server.Start();
+
+  ASSERT_EQ(server.Submit(SageRequest(1)).get().status, serving::Status::kOk);
+  const std::shared_ptr<const Snapshot> snap0 = store.Current();
+  serving::SampleResponse straggler;
+  serving::SampleResponse fresh;
+  {
+    fault::FaultScope faults(fault::FaultPlan::Parse("kernel.transient:occ=0", 1));
+    std::future<serving::SampleResponse> pinned = server.Submit(SageRequest(2));
+    ASSERT_TRUE(AwaitTransientRetry(server));
+    MutationBatch small;
+    small.add_edges.push_back({7, 200, 1.0f});
+    store.Apply(small);
+    fresh = server.Submit(SageRequest(3)).get();  // caches epoch 1's session
+    straggler = pinned.get();
+  }
+  ASSERT_EQ(fresh.status, serving::Status::kOk) << fresh.error;
+  ASSERT_EQ(straggler.status, serving::Status::kOk) << straggler.error;
+  EXPECT_FALSE(straggler.stages.plan_cache_hit) << "epoch 0's session must be superseded";
+
+  algorithms::AlgorithmProgram ap =
+      algorithms::GraphSage(snap0->graph(), algorithms::SageParams{.fanouts = {4, 3}});
+  core::SamplerOptions sampler_options;
+  sampler_options.super_batch = 1;
+  auto plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), sampler_options,
+                                                   "GraphSAGE");
+  core::SamplerSession session(std::move(plan), snap0, std::move(ap.tensors));
+  session.Warmup(Seeds({0, 1, 2, 3}));
+  const std::vector<core::Value> reference = session.SampleSeeded(Seeds({1, 2, 3, 4}), 2);
+  ASSERT_EQ(straggler.outputs.size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_TRUE(core::BitIdentical(straggler.outputs[i], reference[i])) << "output " << i;
+  }
+
+  const serving::SampleResponse after = server.Submit(SageRequest(4)).get();
+  ASSERT_EQ(after.status, serving::Status::kOk) << after.error;
+  EXPECT_TRUE(after.stages.plan_cache_hit) << "epoch 1's session must stay resident";
+  EXPECT_EQ(server.stats().plan_cache_entries, 1);
+  server.Stop();
+}
+
+// Feature rows come from the request's pinned snapshot: a feature-update
+// epoch applied while the request sits in a retry backoff must not leak
+// into its response.
+TEST(DynServing, FeaturesComeFromThePinnedSnapshotAcrossAFeatureEpoch) {
+  graph::Graph g = testing::SmallRmat(400, 4000, 11);
+  const int64_t nodes = g.num_nodes();
+  const int64_t dim = g.features().cols();
+  GraphStore store(std::move(g));
+  serving::ServerOptions options;
+  options.num_workers = 1;
+  options.serve_features = true;
+  options.retry_backoff = std::chrono::seconds(1);
+  serving::Server server(options);
+  server.RegisterEndpoint(serving::MakeDynamicEndpoint("GraphSAGE", "rmat", store));
+  server.Start();
+
+  ASSERT_EQ(server.Submit(SageRequest(1)).get().status, serving::Status::kOk);
+  const std::shared_ptr<const Snapshot> pinned = store.Current();
+  serving::SampleResponse response;
+  {
+    fault::FaultScope faults(fault::FaultPlan::Parse("kernel.transient:occ=0", 1));
+    std::future<serving::SampleResponse> in_flight = server.Submit(SageRequest(2));
+    ASSERT_TRUE(AwaitTransientRetry(server));
+    MutationBatch rewrite;  // every feature row changes
+    for (int32_t v = 0; v < nodes; ++v) {
+      rewrite.update_features.push_back({v, std::vector<float>(static_cast<size_t>(dim),
+                                                               -1.0f - static_cast<float>(v))});
+    }
+    store.Apply(rewrite);
+    response = in_flight.get();
+  }
+  server.Stop();
+  ASSERT_EQ(response.status, serving::Status::kOk) << response.error;
+  ASSERT_TRUE(response.features.defined());
+  const tensor::Tensor& truth = pinned->graph().features();
+  ASSERT_EQ(response.features.rows(), response.feature_ids.size());
+  ASSERT_EQ(response.features.cols(), dim);
+  for (int64_t i = 0; i < response.feature_ids.size(); ++i) {
+    const int64_t node = response.feature_ids[i];
+    EXPECT_EQ(std::memcmp(response.features.data() + i * dim, truth.data() + node * dim,
+                          static_cast<size_t>(dim) * sizeof(float)),
+              0)
+        << "feature row " << i << " (node " << node << ") is not the pinned epoch's";
+  }
 }
 
 }  // namespace

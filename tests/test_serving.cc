@@ -188,8 +188,10 @@ TEST(PlanKeyTest, GraphVersionCanonicalFormAndParseRoundTrip) {
   EXPECT_EQ(parsed_sharded.Canonical(), sharded.Canonical());
 }
 
-// Two epochs of the same endpoint are distinct cache entries; the same
-// epoch is a hit.
+// Two epochs of the same endpoint are distinct session keys: a new epoch
+// never hits the old epoch's session, and caching it supersedes that
+// session. A straggler still at the old epoch gets a session built for it
+// but not cached, so the newer epoch's session stays resident.
 TEST(PlanCache, GraphEpochsAreDistinctCacheKeys) {
   graph::Graph g = ServingGraph();
   PlanCache cache(int64_t{64} * 1024 * 1024, nullptr);
@@ -203,16 +205,24 @@ TEST(PlanCache, GraphEpochsAreDistinctCacheKeys) {
 
   cache.GetOrBuild(e7, [&] { return BuildSagePlan(g, {4, 4}); });
   bool hit = true;
-  cache.GetOrBuild(e8, [&] { return BuildSagePlan(g, {4, 4}); }, &hit);
+  const auto s8 = cache.GetOrBuild(e8, [&] { return BuildSagePlan(g, {4, 4}); }, &hit);
   EXPECT_FALSE(hit) << "a new epoch must not hit the old epoch's session";
-  cache.GetOrBuild(e7, [&]() -> std::shared_ptr<core::SamplerSession> {
-    ADD_FAILURE() << "same epoch must hit";
+  bool built = false;
+  cache.GetOrBuild(e7, [&] {
+    built = true;
+    return BuildSagePlan(g, {4, 4});
+  }, &hit);
+  EXPECT_FALSE(hit) << "epoch 8's session superseded epoch 7's";
+  EXPECT_TRUE(built);
+  const auto again = cache.GetOrBuild(e8, [&]() -> std::shared_ptr<core::SamplerSession> {
+    ADD_FAILURE() << "the straggler must not displace the newer epoch";
     return nullptr;
   }, &hit);
   EXPECT_TRUE(hit);
+  EXPECT_EQ(again, s8);
   const PlanCacheStats s = cache.stats();
-  EXPECT_EQ(s.entries, 2);
-  EXPECT_EQ(s.misses, 2);
+  EXPECT_EQ(s.entries, 1);
+  EXPECT_EQ(s.misses, 3);
   EXPECT_EQ(s.hits, 1);
 }
 

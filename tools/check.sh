@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the concurrency-sensitive suites under TSan.
 #
-# Usage: tools/check.sh [--fast | chaos | plans | oracle | shard | feature | ha | dynamic | jit]
+# Usage: tools/check.sh [--fast | chaos | plans | oracle | shard | feature | ha | dynamic | jit | asan]
 #
 #   (default)  configure + build + full ctest in ./build, then the plans
 #              tier, then the oracle tier, then the shard tier, then the
 #              feature tier, then the ha tier, then the dynamic tier, then
-#              the jit tier, then a -DGS_SANITIZE=thread
+#              the jit tier, then the asan tier, then a -DGS_SANITIZE=thread
 #              build in ./build-tsan running the threaded suites (pipeline,
 #              serving, device accounting, fault ladder) with pass-boundary
 #              verification (GS_VERIFY_PASSES=1), then the chaos tier.
@@ -62,6 +62,12 @@
 #              (serving workers racing the per-plan compile), then a
 #              fixed-seed JIT fuzz (fuzz_passes --jit) differencing native
 #              kernels against the interpreter for every drawn config.
+#   asan       AddressSanitizer tier only: builds with GS_SANITIZE=address
+#              in ./build-asan and runs the suites that exercise session and
+#              snapshot lifetimes (test_serving, test_dyn, test_plan,
+#              test_serving_soak): superseded-epoch sessions, stragglers,
+#              eviction under the byte budget and the OOM ladder, and warm
+#              restarts, checked for use-after-free and leaks.
 #   chaos      fault-injection tier only: builds with GS_SANITIZE=thread and
 #              runs the gs::fault suites (test_fault + the chaos soak) under
 #              TSan — the deterministic-injection racing workout.
@@ -80,6 +86,7 @@ FEATURE=0
 HA=0
 DYNAMIC=0
 JIT=0
+ASAN=0
 for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
@@ -91,7 +98,8 @@ for arg in "$@"; do
     ha|--ha) HA=1 ;;
     dynamic|--dynamic) DYNAMIC=1 ;;
     jit|--jit) JIT=1 ;;
-    *) echo "unknown flag: $arg (usage: tools/check.sh [--fast | chaos | plans | oracle | shard | feature | ha | dynamic | jit])" >&2; exit 2 ;;
+    asan|--asan) ASAN=1 ;;
+    *) echo "unknown flag: $arg (usage: tools/check.sh [--fast | chaos | plans | oracle | shard | feature | ha | dynamic | jit | asan])" >&2; exit 2 ;;
   esac
 done
 
@@ -256,6 +264,27 @@ run_jit_tier() {
   ./build/tools/fuzz_passes --seeds 60 --jit
 }
 
+# AddressSanitizer tier: the serving, dynamic-graph and plan suites, whose
+# sessions and pinned snapshots are dropped while executions may still hold
+# them (superseded epochs, stragglers, eviction, warm restarts).
+run_asan_tier() {
+  echo "== asan: configure + build (GS_SANITIZE=address) =="
+  cmake -B build-asan -S . -DGS_SANITIZE=address >/dev/null
+  cmake --build build-asan -j "$JOBS" --target test_serving test_dyn test_plan test_serving_soak
+
+  echo "== asan: serving, dynamic, plan and soak suites =="
+  ./build-asan/tests/test_serving
+  ./build-asan/tests/test_dyn
+  ./build-asan/tests/test_plan
+  ./build-asan/tests/test_serving_soak
+}
+
+if [[ "$ASAN" == 1 ]]; then
+  run_asan_tier
+  echo "check.sh: asan tier green"
+  exit 0
+fi
+
 if [[ "$JIT" == 1 ]]; then
   run_jit_tier
   echo "check.sh: jit tier green"
@@ -330,6 +359,8 @@ run_ha_tier
 run_dynamic_tier
 
 run_jit_tier
+
+run_asan_tier
 
 echo "== TSan: configure + build (GS_SANITIZE=thread) =="
 cmake -B build-tsan -S . -DGS_SANITIZE=thread >/dev/null
