@@ -44,7 +44,9 @@ inline float ApplyBinaryOp(BinaryOp op, float a, float b) {
     case BinaryOp::kDiv:
       return a / b;
     case BinaryOp::kPow:
-      return std::pow(a, b);
+      // Squaring is the common case (LADIES, layer-wise weights) and a * a
+      // is correctly rounded where powf need not be; every path squares alike.
+      return b == 2.0f ? a * a : std::pow(a, b);
   }
   return 0.0f;
 }

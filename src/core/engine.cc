@@ -107,11 +107,6 @@ void SamplerSession::BindGraph(const std::string& name, const sparse::Matrix* ma
   }
 }
 
-void SamplerSession::SetJitTable(std::shared_ptr<const FusedKernelTable> table) {
-  jit_table_ = std::move(table);
-  executor_.SetFusedKernels(jit_table_);
-}
-
 void SamplerSession::EnsureCalibrated(const tensor::IdArray& frontier) {
   if (needs_precompute_) {
     Precompute();
@@ -202,7 +197,6 @@ void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
   opts.num_segments = segments;
   opts.graph_num_nodes = n;
   Executor seg_executor(plan_->program(), opts);
-  seg_executor.SetFusedKernels(jit_table_);
   for (const auto& [id, value] : precomputed_) {
     seg_executor.SetPrecomputed(id, value);
   }

@@ -118,14 +118,6 @@ class SamplerSession {
 
   bool warmed_up() const { return warmed_up_; }
 
-  // Installs the plan's compiled-kernel jump table (src/jit) on every
-  // executor this session runs — including the per-call segmented executors
-  // the coalesced serving path builds. nullptr restores pure interpretation.
-  // Not thread-safe against concurrent sampling: install before Warmup (the
-  // serving path) or between batches (tools/tests).
-  void SetJitTable(std::shared_ptr<const FusedKernelTable> table);
-  const std::shared_ptr<const FusedKernelTable>& jit_table() const { return jit_table_; }
-
   const CompiledPlan& plan() const { return *plan_; }
   std::shared_ptr<CompiledPlan> plan_ptr() const { return plan_; }
   const Program& program() const { return plan_->program(); }
@@ -168,7 +160,6 @@ class SamplerSession {
   bool needs_precompute_ = false;  // deferred until all bindings are present
   bool warmed_up_ = false;
   int tuned_super_batch_ = 0;
-  std::shared_ptr<const FusedKernelTable> jit_table_;
 };
 
 // Thin facade preserving the pre-split API: compiles a plan and opens one

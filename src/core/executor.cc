@@ -506,9 +506,6 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
 
     case OpKind::kFusedSliceSample:
       if (seg) {
-        // Segmented slice-sample interleaves per-segment rng streams; only
-        // the interpreter implements that schedule, so super-batch mode
-        // never consults the jump table here.
         if (!segment_rngs.empty()) {
           return finish_structure(sparse::SegmentedFusedSliceSample(
               matrix_in(0), ids_in(1), options_.num_segments, node.attrs.k, segment_rngs));
@@ -516,24 +513,12 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
         return finish_structure(sparse::SegmentedFusedSliceSample(
             matrix_in(0), ids_in(1), options_.num_segments, node.attrs.k, rng));
       }
-      if (fused_kernels_ != nullptr) {
-        sparse::Matrix jit_out;
-        if (fused_kernels_->SliceSample(node.id, matrix_in(0), ids_in(1), rng, &jit_out)) {
-          return finish_structure(std::move(jit_out));
-        }
-      }
       return finish_structure(
           sparse::FusedSliceSample(matrix_in(0), ids_in(1), node.attrs.k, rng));
     case OpKind::kFusedEdgeMap: {
       std::vector<tensor::Tensor> operands;
       for (size_t i = 1; i < node.inputs.size(); ++i) {
         operands.push_back(tensor_in(static_cast<int>(i)));
-      }
-      if (fused_kernels_ != nullptr) {
-        sparse::Matrix jit_out;
-        if (fused_kernels_->EdgeMap(node.id, matrix_in(0), operands, &jit_out)) {
-          return Value::OfMatrix(std::move(jit_out));
-        }
       }
       return Value::OfMatrix(sparse::FusedEdgeMap(matrix_in(0), node.attrs.stages, operands));
     }
@@ -543,13 +528,6 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
         operands.push_back(tensor_in(static_cast<int>(i)));
       }
       const sparse::Matrix& m = matrix_in(0);
-      if (fused_kernels_ != nullptr) {
-        sparse::ValueArray jit_reduced;
-        if (fused_kernels_->EdgeMapReduce(node.id, m, operands, &jit_reduced)) {
-          return Value::OfTensor(tensor::Tensor::FromArray(
-              {node.attrs.axis == 0 ? m.num_rows() : m.num_cols()}, std::move(jit_reduced)));
-        }
-      }
       sparse::ValueArray reduced =
           sparse::FusedEdgeMapReduce(m, node.attrs.stages, operands, node.attrs.axis);
       return Value::OfTensor(tensor::Tensor::FromArray(

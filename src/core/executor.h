@@ -18,7 +18,6 @@
 #define GSAMPLER_CORE_EXECUTOR_H_
 
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -107,39 +106,6 @@ struct ExecOptions {
   int64_t graph_num_nodes = 0;
 };
 
-// Per-plan jump table of natively compiled fused kernels (src/jit). The
-// executor consults it before interpreting a fused operator; each entry is
-// keyed by the node id whose stage pipeline / fanout was baked into the
-// compiled code. Every method returns false to mean "no compiled kernel for
-// this node — interpret", which is also the contract for any demoted
-// region: a missing entry is always a fallback, never a failure. A table
-// must be bit-identical to the interpreter (the oracle and fuzz_passes
-// --jit enforce this); implementations charge the same simulated kernel
-// costs as the interpreted kernels so plans and benchmarks stay comparable.
-class FusedKernelTable {
- public:
-  virtual ~FusedKernelTable() = default;
-
-  // kFusedEdgeMap: fills `out` with m's structure carrying the mapped
-  // values (CSC-aligned), exactly like sparse::FusedEdgeMap.
-  virtual bool EdgeMap(int node_id, const sparse::Matrix& m,
-                       std::span<const tensor::Tensor> operands,
-                       sparse::Matrix* out) const = 0;
-
-  // kFusedEdgeMapReduce: fills `out` with the reduced vector (the axis was
-  // baked in at compile time), exactly like sparse::FusedEdgeMapReduce.
-  virtual bool EdgeMapReduce(int node_id, const sparse::Matrix& m,
-                             std::span<const tensor::Tensor> operands,
-                             sparse::ValueArray* out) const = 0;
-
-  // kFusedSliceSample (non-segmented only): consumes draws from `rng` in
-  // exactly the interpreter's order, so the sampled neighborhood is
-  // bit-identical to sparse::FusedSliceSample with the same stream.
-  virtual bool SliceSample(int node_id, const sparse::Matrix& m,
-                           const tensor::IdArray& cols, Rng& rng,
-                           sparse::Matrix* out) const = 0;
-};
-
 class Executor {
  public:
   Executor(const Program& program, ExecOptions options);
@@ -170,16 +136,6 @@ class Executor {
   const ExecOptions& options() const { return options_; }
   void set_options(const ExecOptions& options) { options_ = options; }
 
-  // Installs the plan's compiled-kernel jump table (nullptr = interpret
-  // everything). Must not race with Run(): set it before the executor is
-  // shared across threads, like SetPrecomputed.
-  void SetFusedKernels(std::shared_ptr<const FusedKernelTable> table) {
-    fused_kernels_ = std::move(table);
-  }
-  const std::shared_ptr<const FusedKernelTable>& fused_kernels() const {
-    return fused_kernels_;
-  }
-
  private:
   Value Evaluate(const Node& node, std::vector<Value>& values, const Bindings& bindings,
                  Rng& rng, std::span<Rng> segment_rngs) const;
@@ -188,7 +144,6 @@ class Executor {
   ExecOptions options_;
   std::map<int, Value> precomputed_;
   std::vector<int> last_use_;  // node id -> index of its last consumer
-  std::shared_ptr<const FusedKernelTable> fused_kernels_;
 };
 
 }  // namespace gs::core

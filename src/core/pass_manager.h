@@ -48,9 +48,9 @@ struct PassManagerOptions {
 };
 
 // True when the named environment toggle is present. Lookups are cached per
-// name, so the hooks that consult this on hot paths (pass-boundary
-// verification, the JIT's per-region self-check in src/jit) cost one map
-// probe after the first call.
+// name, so a hook that consults this on a hot path (pass-boundary
+// verification, once per pass per compile) costs one map probe after the
+// first call.
 bool EnvFlagEnabled(const char* name);
 
 // True when pass-boundary verification should run: always in debug builds;

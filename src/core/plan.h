@@ -201,8 +201,7 @@ class CompiledPlan {
   // for equal plans; excludes the informational report/pass-timing lines.
   uint64_t Digest() const;
   // Digest() as the canonical 16-hex-digit artifact key — the filename stem
-  // the serving plan cache persists under, and the prefix the JIT kernel
-  // cache (src/jit) keys compiled regions by.
+  // the serving plan cache persists under.
   std::string DigestHex() const;
 
   std::string DebugString() const;

@@ -150,8 +150,6 @@ const char* SiteName(Site site) {
       return "exchange.timeout";
     case Site::kShardSlow:
       return "shard.slow";
-    case Site::kJitCompile:
-      return "jit.compile";
   }
   return "unknown";
 }
@@ -222,7 +220,7 @@ FaultPlan FaultPlan::Parse(const std::string& spec, uint64_t seed) {
     GS_CHECK(ParseSite(fields[site_field], &site))
         << "fault plan: unknown site '" << fields[site_field]
         << "' (expected alloc.oom, kernel.transient, kernel.stuck, transfer.error, "
-           "shard.lost, exchange.timeout, shard.slow, or jit.compile)";
+           "shard.lost, exchange.timeout, or shard.slow)";
     SiteSchedule& schedule = shard >= 0 ? plan.shard_site(site, shard) : plan.site(site);
     GS_CHECK(fields.size() > site_field + 1)
         << "fault plan: site '" << fields[site_field]
@@ -251,8 +249,9 @@ FaultPlan FaultPlan::Parse(const std::string& spec, uint64_t seed) {
         } catch (const std::exception&) {
           pos = 0;
         }
-        GS_CHECK(pos == value.size() && magnitude > 0.0)
-            << "fault plan: magnitude must be > 0, got '" << value << "'";
+        GS_CHECK(pos == value.size() && magnitude > 0.0 && magnitude <= kMaxMagnitude)
+            << "fault plan: magnitude must be in (0, " << kMaxMagnitude << "], got '" << value
+            << "'";
         schedule.magnitude = magnitude;
       } else {
         GS_CHECK(false) << "fault plan: unknown key '" << key

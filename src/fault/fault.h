@@ -20,10 +20,6 @@
 //   shard.slow        a shard's exchange runs `magnitude`× slow without
 //                     failing — the gray-failure signal that drives the
 //                     health monitor's suspect state
-//   jit.compile       a JIT region compilation fails as if the toolchain
-//                     were unavailable; the region demotes to the
-//                     interpreter (gs::jit's fallback ladder) and requests
-//                     must keep succeeding
 //
 // Shard targeting: a clause may carry a `shardN:` qualifier
 // (`shard3:kernel.transient:p=0.5`) restricting it to probes made while
@@ -68,9 +64,8 @@ enum class Site : int {
   kShardLost,
   kExchangeTimeout,
   kShardSlow,
-  kJitCompile,
 };
-inline constexpr int kNumSites = 8;
+inline constexpr int kNumSites = 7;
 
 // Upper bound on shard ids a ShardScope may install; bounds the injector's
 // per-shard counter arrays.
@@ -88,6 +83,10 @@ inline constexpr double kDefaultStuckMagnitude = 1024.0;
 // the cost model, far below the watchdog's stuck threshold.
 inline constexpr double kDefaultSlowMagnitude = 8.0;
 
+// Largest magnitude a plan may set. Sites multiply virtual nanoseconds by
+// it, so an unbounded value (inf, 1e300) would overflow the int64 clock.
+inline constexpr double kMaxMagnitude = 1e6;
+
 // Per-site schedule. A probe fires if its number appears in `occurrences`
 // (sorted, 0-based), is at or past `after` (when set), or if the seeded
 // hash draw falls below `probability`.
@@ -98,7 +97,7 @@ struct SiteSchedule {
   // site fire permanently — how a chaos plan kills a shard for good.
   int64_t after = -1;
   // Site-specific intensity; kernel.stuck and shard.slow use it (time
-  // multiplier). 0 means the site default.
+  // multiplier), in (0, kMaxMagnitude]. 0 means the site default.
   double magnitude = 0.0;
 
   bool empty() const {

@@ -13,7 +13,6 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "device/device.h"
-#include "jit/jit.h"
 #include "serving/coalescer.h"
 #include "shard/shard.h"
 
@@ -246,13 +245,6 @@ void Server::Start() {
   }
   pool_ = std::make_unique<pipeline::WorkerPool>(device::Current().profile(),
                                                  options_.num_workers);
-  if (options_.jit) {
-    // Created before the plan warm start so warm-started sessions re-attach
-    // persisted kernel artifacts (which live next to the plans in plan_dir).
-    jit::JitEngineOptions jit_options;
-    jit_options.artifact_dir = options_.plan_dir;
-    jit_ = std::make_unique<jit::JitEngine>(jit_options);
-  }
   if (!options_.plan_dir.empty()) {
     // Warm start: activate persisted plans before workers begin serving, so
     // the first request of every restored endpoint is a cache hit with no
@@ -610,7 +602,6 @@ std::shared_ptr<core::SamplerSession> Server::BuildSession(
   auto session = std::make_shared<core::SamplerSession>(
       std::move(plan), graph, std::move(algorithm.tensors), snapshot);
   session->Warmup(WarmupFrontier(graph));
-  AttachJit(session);
   return session;
 }
 
@@ -802,19 +793,6 @@ std::shared_ptr<core::SamplerSession> Server::ActivatePlan(
     plan_cache_->Publish(key, session->plan_ptr(), *snapshot);
   }
   return session;
-}
-
-// Called after Warmup: warmup calibrates the plan, and the calibration state
-// is part of CompiledPlan::Digest() — attaching earlier would key artifacts
-// under a digest the persisted (calibrated) plan no longer has, defeating
-// warm-restart reuse.
-void Server::AttachJit(const std::shared_ptr<core::SamplerSession>& session) {
-  if (jit_ == nullptr || session == nullptr) {
-    return;
-  }
-  // TableFor never throws: unresolvable regions demote to the interpreter,
-  // and a plan with no fused regions yields no table at all.
-  session->SetJitTable(jit_->TableFor(session->plan()));
 }
 
 feature::HotSetCache* Server::TenantFeatureCache(int shard, const std::string& tenant,
@@ -1344,14 +1322,6 @@ ServerStats Server::stats() const {
     snapshot.plan_cache_entries = cache.entries;
     snapshot.plans_saved = cache.plans_saved;
     snapshot.plans_loaded = cache.plans_loaded;
-  }
-  if (jit_ != nullptr) {
-    const jit::JitStats jit_stats = jit::GlobalJitStats();
-    snapshot.jit_regions = jit_stats.regions;
-    snapshot.jit_compiled = jit_stats.compiled;
-    snapshot.jit_artifact_hits = jit_stats.artifact_hits;
-    snapshot.jit_hits = jit_stats.hits;
-    snapshot.jit_demotions = jit_stats.demotions;
   }
   // Per-shard histograms merge exactly (aligned log-scale buckets) into the
   // server-level percentile report; unsharded servers have a single shard.

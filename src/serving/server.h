@@ -68,9 +68,6 @@
 #include "serving/request.h"
 #include "serving/stats.h"
 
-namespace gs::jit {
-class JitEngine;
-}  // namespace gs::jit
 
 namespace gs::serving {
 
@@ -170,14 +167,6 @@ struct ServerOptions {
   // serving. When false, a drifted judgment compiles inline on the serving
   // path instead — the contrast bench/mutation_throughput measures.
   bool background_recompile = true;
-  // JIT-compile fused IR regions (gs::jit): every session built or
-  // warm-started by this server gets its plan's compiled-kernel jump table
-  // attached before warmup. Kernel artifacts persist in plan_dir (when set)
-  // next to the plans they specialize, so a warm restart re-attaches native
-  // kernels without recompiling. Region compile/load/verify failures demote
-  // to the interpreter (jit_demotions in ServerStats) — never a failed
-  // request. Results are bit-identical either way.
-  bool jit = false;
 };
 
 class Server {
@@ -254,7 +243,7 @@ class Server {
   // served graph (the pinned `snapshot` for dynamic endpoints, else the
   // endpoint's static graph), builds a session over `plan` — or over a
   // freshly compiled plan (passes + calibration) when `plan` is null — and
-  // warms it up with the JIT attached.
+  // warms it up.
   std::shared_ptr<core::SamplerSession> BuildSession(
       const Endpoint& endpoint, const PlanKey& key,
       const std::shared_ptr<const graph::Snapshot>& snapshot,
@@ -293,10 +282,6 @@ class Server {
   // shard's allocator). `row_bytes` sizes the entries.
   feature::HotSetCache* TenantFeatureCache(int shard, const std::string& tenant,
                                            const std::string& dataset, int64_t row_bytes);
-  // Installs the plan's JIT jump table on a freshly built session (no-op
-  // when options_.jit is off). Runs after the session's Warmup (see
-  // server.cc for why).
-  void AttachJit(const std::shared_ptr<core::SamplerSession>& session);
 
   ServerOptions options_;
   std::map<std::string, Endpoint> endpoints_;  // "algorithm|dataset" -> endpoint
@@ -317,10 +302,6 @@ class Server {
   // listeners to unregister at Stop().
   std::unique_ptr<dyn::Replanner> replanner_;
   std::vector<std::pair<graph::GraphStore*, int64_t>> store_listeners_;
-  // JIT region compiler (ServerOptions::jit); artifacts live in plan_dir.
-  // Declared before plan_cache_ so cached sessions (which hold jump tables)
-  // are destroyed first.
-  std::unique_ptr<jit::JitEngine> jit_;
   std::unique_ptr<PlanCache> plan_cache_;
   std::unique_ptr<pipeline::BoundedQueue<uint64_t>> tokens_;
   std::unique_ptr<pipeline::WorkerPool> pool_;

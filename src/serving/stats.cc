@@ -93,11 +93,6 @@ std::string ServerStats::ToString() const {
       << " hedged_exchanges=" << hedged_exchanges
       << " p50_us=" << latency_p50_ns / 1000 << " p95_us=" << latency_p95_ns / 1000
       << " p99_us=" << latency_p99_ns / 1000;
-  if (jit_regions > 0) {
-    out << " jit=[regions=" << jit_regions << " compiled=" << jit_compiled
-        << " artifact_hits=" << jit_artifact_hits << " hits=" << jit_hits
-        << " demotions=" << jit_demotions << "]";
-  }
   if (feature_requests > 0) {
     out << " features=[requests=" << feature_requests << " rows=" << feature_rows
         << " hit_rate=" << FeatureHitRate() << " gather_mb="

@@ -59,17 +59,6 @@ struct ServerStats {
   int64_t plans_saved = 0;   // plan artifacts persisted to the plan dir
   int64_t plans_loaded = 0;  // sessions warm-started from persisted plans
 
-  // JIT kernel compilation (gs::jit, ServerOptions::jit). Mirrors the
-  // process-wide jit::GlobalJitStats() counters: fused regions seen, how
-  // many run native code (and of those, how many reloaded a persisted
-  // artifact instead of compiling), fused-op executions served natively,
-  // and regions demoted to the interpreter by the fallback ladder.
-  int64_t jit_regions = 0;
-  int64_t jit_compiled = 0;
-  int64_t jit_artifact_hits = 0;
-  int64_t jit_hits = 0;
-  int64_t jit_demotions = 0;
-
   // Feature serving (gs::feature): responses that carried gathered feature
   // rows, and the hot-set cache's aggregate behavior across every tenant
   // partition on every shard.

@@ -70,6 +70,15 @@ TEST(FaultPlan, MalformedSpecsThrow) {
   EXPECT_THROW(FaultPlan::Parse("alloc.oom:p=nope", 0), Error);
   EXPECT_THROW(FaultPlan::Parse("alloc.oom:occ=-3", 0), Error);
   EXPECT_THROW(FaultPlan::Parse("alloc.oom:frobnicate=1", 0), Error);
+  // Magnitudes multiply int64 virtual nanoseconds: non-finite or huge ones
+  // would overflow the clock, so the grammar refuses them.
+  EXPECT_THROW(FaultPlan::Parse("kernel.stuck:occ=3:mag=inf", 0), Error);
+  EXPECT_THROW(FaultPlan::Parse("kernel.stuck:occ=3:mag=nan", 0), Error);
+  EXPECT_THROW(FaultPlan::Parse("kernel.stuck:occ=3:mag=1e300", 0), Error);
+  EXPECT_THROW(FaultPlan::Parse("shard.slow:p=0.5:mag=0", 0), Error);
+  EXPECT_DOUBLE_EQ(
+      FaultPlan::Parse("kernel.stuck:occ=3:mag=1e6", 0).site(Site::kKernelStuck).magnitude,
+      kMaxMagnitude);
 }
 
 TEST(FaultPlan, ShardQualifiedClausesRoundTrip) {

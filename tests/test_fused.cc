@@ -1,21 +1,19 @@
 // Tests for the fused edge-map / edge-map-reduce kernels: every stage kind
-// matches its unfused reference, chains compose, and reductions never
-// materialize intermediates yet agree with the two-kernel result. The
-// golden section at the bottom pins exact outputs for all three fused ops
-// on the toy graph and re-asserts them against both backends (interpreter
-// and JIT), so a regression in either one trips a hard-coded expectation
-// rather than only the self-consistency oracle.
+// and operator matches its unfused kernel bit for bit in every row space,
+// chains compose, and reductions never materialize intermediates yet agree
+// with the two-kernel result. The golden section at the bottom pins exact
+// outputs for all three fused ops on the toy graph, so a regression trips a
+// hard-coded expectation rather than only the self-consistency checks.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <memory>
+#include <bit>
+#include <cmath>
+#include <string>
+#include <tuple>
 
 #include "common/error.h"
-#include "core/executor.h"
-#include "core/ir.h"
-#include "core/plan.h"
-#include "jit/jit.h"
+#include "sparse/batch.h"
 #include "sparse/fused.h"
 #include "sparse/kernels.h"
 #include "tensor/ops.h"
@@ -116,13 +114,114 @@ TEST(FusedEdgeMap, EdgeTensorStage) {
   }
 }
 
-class ReduceAxis : public ::testing::TestWithParam<int> {};
+// The row spaces a fused operator meets in compiled plans: a column slice
+// of the base graph (row operands index rows directly), the same slice
+// after row compaction (per-node operands are global, read through
+// row_ids), and a two-segment super-batch slice whose labeled rows
+// (segment * n + node) fold onto per-node operands with a modulo.
+enum class RowSpace { kLocal, kRowIds, kLabeled };
+
+Matrix RowSpaceMatrix(const graph::Graph& g, RowSpace space) {
+  const tensor::IdArray cols = tensor::IdArray::FromVector({1, 5, 9, 13});
+  switch (space) {
+    case RowSpace::kLocal:
+      return SliceColumns(g.adj(), cols);
+    case RowSpace::kRowIds:
+      return CompactRows(SliceColumns(g.adj(), cols));
+    case RowSpace::kLabeled: {
+      const auto n = static_cast<int32_t>(g.num_nodes());
+      return SegmentedSliceColumns(g.adj(), tensor::IdArray::FromVector({1, 5, n + 9, n + 13}),
+                                   2);
+    }
+  }
+  return {};
+}
+
+// Operand slots used by Stage(): per-node row vector, column vector, dense
+// (nodes x cols), edge tensor, and the SDDMM factors u (per node) and v
+// (per column). Values lie in [0.5, 1.5), so pow, div and the reductions
+// stay finite.
+enum Slot { kRowSlot, kColSlot, kDenseSlot, kEdgeSlot, kUSlot, kVSlot };
+
+std::vector<Tensor> StageOperands(const graph::Graph& g, const Matrix& m) {
+  Rng rng(11);
+  auto positive = [&](std::vector<int64_t> shape) {
+    Tensor t = Tensor::Empty(std::move(shape));
+    for (float& v : t.span()) {
+      v = 0.5f + rng.UniformF();
+    }
+    return t;
+  };
+  const int64_t n = g.num_nodes();
+  return {positive({n}),          positive({m.num_cols()}), positive({n, m.num_cols()}),
+          positive({m.nnz()}),    positive({n, 3}),         positive({m.num_cols(), 3})};
+}
+
+EdgeMapStage Stage(BinaryOp op, EdgeMapStage::OperandKind kind, float scalar = 2.0f) {
+  using Kind = EdgeMapStage::OperandKind;
+  EdgeMapStage stage;
+  stage.op = op;
+  stage.kind = kind;
+  stage.scalar = scalar;
+  switch (kind) {
+    case Kind::kScalar:
+      break;
+    case Kind::kRowVector:
+      stage.operand = kRowSlot;
+      break;
+    case Kind::kColVector:
+      stage.operand = kColSlot;
+      break;
+    case Kind::kDense:
+      stage.operand = kDenseSlot;
+      break;
+    case Kind::kEdgeTensor:
+      stage.operand = kEdgeSlot;
+      break;
+    case Kind::kDot:
+      stage.operand = kUSlot;
+      stage.operand2 = kVSlot;
+      break;
+  }
+  return stage;
+}
+
+// One stage as the unfused kernel the fusion pass replaces.
+Matrix UnfusedStage(const Matrix& m, const EdgeMapStage& stage,
+                    const std::vector<Tensor>& operands) {
+  using Kind = EdgeMapStage::OperandKind;
+  switch (stage.kind) {
+    case Kind::kScalar:
+      return EltwiseScalar(m, stage.op, stage.scalar);
+    case Kind::kRowVector:
+      return Broadcast(m, stage.op, operands[kRowSlot].array(), 0);
+    case Kind::kColVector:
+      return Broadcast(m, stage.op, operands[kColSlot].array(), 1);
+    case Kind::kDense:
+      return DenseEltwise(m, stage.op, operands[kDenseSlot]);
+    case Kind::kEdgeTensor:
+      return EltwiseBinary(m, stage.op, m.WithValues(Format::kCsc, operands[kEdgeSlot].array()));
+    case Kind::kDot:
+      return EltwiseBinary(m, stage.op,
+                           Sddmm(m, operands[kUSlot], operands[kVSlot], /*mul_existing=*/false));
+  }
+  return m;
+}
+
+void ExpectBitIdentical(const ValueArray& got, const ValueArray& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got[i]), std::bit_cast<uint32_t>(want[i]))
+        << what << ": element " << i << " is " << got[i] << ", unfused gives " << want[i];
+  }
+}
+
+class ReduceAxis : public ::testing::TestWithParam<std::tuple<int, RowSpace>> {};
 
 TEST_P(ReduceAxis, FusedReduceMatchesMapThenSum) {
-  const int axis = GetParam();
+  const auto [axis, space] = GetParam();
   graph::Graph g = gs::testing::SmallRmat();
-  tensor::IdArray cols = tensor::IdArray::FromVector({1, 5, 9, 13});
-  Matrix sub = SliceColumns(g.adj(), cols);
+  Matrix sub = RowSpaceMatrix(g, space);
 
   std::vector<EdgeMapStage> stages = {ScalarStage(BinaryOp::kPow, 2.0f),
                                       ScalarStage(BinaryOp::kMul, 0.5f)};
@@ -136,7 +235,62 @@ TEST_P(ReduceAxis, FusedReduceMatchesMapThenSum) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Axes, ReduceAxis, ::testing::Values(0, 1));
+// Every (operator, operand kind) pair alone, kPow with both a squaring and
+// a non-2 exponent, and one chain through all six kinds: the fused map and
+// map-reduce must equal the unfused kernel chain (then SumAxis, which
+// accumulates in the same CSC order) bit for bit.
+TEST_P(ReduceAxis, EveryStageKindAndOperatorMatchesUnfusedChainBitForBit) {
+  using Kind = EdgeMapStage::OperandKind;
+  const auto [axis, space] = GetParam();
+  graph::Graph g = gs::testing::SmallRmat();
+  const Matrix m = RowSpaceMatrix(g, space);
+  ASSERT_GT(m.nnz(), 0);
+  ASSERT_FALSE(m.HasFormat(Format::kCsr)) << "SumAxis would accumulate in CSR order";
+  const std::vector<Tensor> operands = StageOperands(g, m);
+
+  const BinaryOp ops[] = {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul, BinaryOp::kDiv,
+                          BinaryOp::kPow};
+  const Kind kinds[] = {Kind::kScalar, Kind::kRowVector,  Kind::kColVector,
+                        Kind::kDense,  Kind::kEdgeTensor, Kind::kDot};
+  std::vector<std::vector<EdgeMapStage>> chains;
+  for (BinaryOp op : ops) {
+    for (Kind kind : kinds) {
+      chains.push_back({Stage(op, kind)});
+    }
+    chains.push_back({Stage(op, Kind::kScalar, 0.75f)});
+  }
+  chains.push_back({Stage(BinaryOp::kMul, Kind::kRowVector), Stage(BinaryOp::kAdd, Kind::kScalar),
+                    Stage(BinaryOp::kDiv, Kind::kColVector), Stage(BinaryOp::kPow, Kind::kDense),
+                    Stage(BinaryOp::kMul, Kind::kEdgeTensor),
+                    Stage(BinaryOp::kSub, Kind::kDot)});
+
+  for (const std::vector<EdgeMapStage>& chain : chains) {
+    std::string what = "chain";
+    Matrix want = m;
+    for (const EdgeMapStage& stage : chain) {
+      what += std::string(" ") + BinaryOpName(stage.op) + "/" +
+              std::to_string(static_cast<int>(stage.kind)) + "/" + std::to_string(stage.scalar);
+      want = UnfusedStage(want, stage, operands);
+    }
+    ExpectBitIdentical(FusedEdgeMap(m, chain, operands).Csc().values, want.Csc().values,
+                       "map " + what);
+    ExpectBitIdentical(FusedEdgeMapReduce(m, chain, operands, axis), SumAxis(want, axis),
+                       "reduce " + what);
+  }
+}
+
+std::string ReduceAxisName(const ::testing::TestParamInfo<ReduceAxis::ParamType>& info) {
+  const char* spaces[] = {"Local", "RowIds", "Labeled"};
+  return "Axis" + std::to_string(std::get<0>(info.param)) +
+         spaces[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(AxesAndRowSpaces, ReduceAxis,
+                         ::testing::Combine(::testing::Values(0, 1),
+                                            ::testing::Values(RowSpace::kLocal,
+                                                              RowSpace::kRowIds,
+                                                              RowSpace::kLabeled)),
+                         ReduceAxisName);
 
 TEST(FusedEdgeMap, GlobalRowOperandThroughRowIds) {
   graph::Graph g = gs::testing::SmallRmat();
@@ -183,40 +337,7 @@ TEST(FusedEdgeMapReduce, WrongOperandLengthThrows) {
 // ----------------------------------------------------------------- goldens
 //
 // Fixed inputs, hard-coded outputs: the toy graph, the scalar pipeline
-// [pow 2, mul 0.5], fanout 2, Rng(123). Each golden is asserted twice —
-// once against the interpreter kernel and once against a JIT table built
-// from a minimal one-node program — so the two backends are pinned to the
-// same recorded behaviour, not merely to each other.
-
-// Compiles a single-fused-node program and returns the JIT table plus the
-// surviving node's id (passes may renumber but never remove the sole
-// output).
-std::shared_ptr<const gs::core::FusedKernelTable> GoldenTable(
-    gs::core::Program program, gs::jit::JitEngine& engine, const std::string& label,
-    gs::core::OpKind kind, int* node_id) {
-  auto plan = std::make_shared<gs::core::CompiledPlan>(std::move(program),
-                                                       gs::core::SamplerOptions{}, label);
-  *node_id = -1;
-  for (int i = 0; i < plan->program().size(); ++i) {
-    if (plan->program().node(i).kind == kind) {
-      *node_id = i;
-    }
-  }
-  EXPECT_NE(*node_id, -1) << label << ": fused node survived compilation";
-  return engine.TableFor(*plan);
-}
-
-gs::jit::JitEngine& GoldenEngine() {
-  static gs::jit::JitEngine* engine = [] {
-    const std::string dir = ::testing::TempDir() + "gs_fused_goldens";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    gs::jit::JitEngineOptions options;
-    options.artifact_dir = dir;
-    return new gs::jit::JitEngine(options);
-  }();
-  return *engine;
-}
+// [pow 2, mul 0.5], fanout 2, Rng(123).
 
 std::vector<EdgeMapStage> GoldenStages() {
   return {ScalarStage(BinaryOp::kPow, 2.0f), ScalarStage(BinaryOp::kMul, 0.5f)};
@@ -235,23 +356,6 @@ TEST(FusedGoldens, EdgeMapScalarPipeline) {
   for (size_t i = 0; i < golden.size(); ++i) {
     EXPECT_EQ(interp.Csc().values[static_cast<int64_t>(i)], golden[i]) << "edge " << i;
   }
-
-  gs::core::Program program;
-  const int gin = program.Add(gs::core::OpKind::kGraphInput, {});
-  gs::core::Attrs attrs;
-  attrs.stages = GoldenStages();
-  const int out = program.Add(gs::core::OpKind::kFusedEdgeMap, {gin}, attrs);
-  program.SetOutputs({out});
-  int node_id = -1;
-  auto table = GoldenTable(std::move(program), GoldenEngine(), "golden-map",
-                           gs::core::OpKind::kFusedEdgeMap, &node_id);
-  ASSERT_NE(table, nullptr);
-  Matrix jitted;
-  ASSERT_TRUE(table->EdgeMap(node_id, g.adj(), {}, &jitted));
-  ASSERT_EQ(jitted.nnz(), static_cast<int64_t>(golden.size()));
-  for (size_t i = 0; i < golden.size(); ++i) {
-    EXPECT_EQ(jitted.Csc().values[static_cast<int64_t>(i)], golden[i]) << "edge " << i;
-  }
 }
 
 TEST(FusedGoldens, EdgeMapReduceRowSums) {
@@ -265,24 +369,6 @@ TEST(FusedGoldens, EdgeMapReduceRowSums) {
   for (size_t i = 0; i < golden.size(); ++i) {
     EXPECT_EQ(interp[static_cast<int64_t>(i)], golden[i]) << "row " << i;
   }
-
-  gs::core::Program program;
-  const int gin = program.Add(gs::core::OpKind::kGraphInput, {});
-  gs::core::Attrs attrs;
-  attrs.stages = GoldenStages();
-  attrs.axis = 0;
-  const int out = program.Add(gs::core::OpKind::kFusedEdgeMapReduce, {gin}, attrs);
-  program.SetOutputs({out});
-  int node_id = -1;
-  auto table = GoldenTable(std::move(program), GoldenEngine(), "golden-reduce",
-                           gs::core::OpKind::kFusedEdgeMapReduce, &node_id);
-  ASSERT_NE(table, nullptr);
-  ValueArray jitted;
-  ASSERT_TRUE(table->EdgeMapReduce(node_id, g.adj(), {}, &jitted));
-  ASSERT_EQ(jitted.size(), static_cast<int64_t>(golden.size()));
-  for (size_t i = 0; i < golden.size(); ++i) {
-    EXPECT_EQ(jitted[static_cast<int64_t>(i)], golden[i]) << "row " << i;
-  }
 }
 
 TEST(FusedGoldens, SliceSampleFixedDraws) {
@@ -295,32 +381,13 @@ TEST(FusedGoldens, SliceSampleFixedDraws) {
       {1, 0, 0.5f},          {2, 1, 0.200000003f}, {4, 0, 0.300000012f},
       {5, 1, 0.699999988f},  {5, 4, 0.300000012f}, {6, 4, 0.899999976f}};
 
-  Rng interp_rng(123);
-  Matrix interp = FusedSliceSample(g.adj(), cols, k, interp_rng);
-
-  gs::core::Program program;
-  const int gin = program.Add(gs::core::OpKind::kGraphInput, {});
-  const int fin = program.Add(gs::core::OpKind::kFrontierInput, {});
-  gs::core::Attrs attrs;
-  attrs.k = k;
-  const int out = program.Add(gs::core::OpKind::kFusedSliceSample, {gin, fin}, attrs);
-  program.SetOutputs({out});
-  int node_id = -1;
-  auto table = GoldenTable(std::move(program), GoldenEngine(), "golden-sample",
-                           gs::core::OpKind::kFusedSliceSample, &node_id);
-  ASSERT_NE(table, nullptr);
-  Rng jit_rng(123);
-  Matrix jitted;
-  ASSERT_TRUE(table->SliceSample(node_id, g.adj(), cols, jit_rng, &jitted));
-
-  for (const Matrix* m : {&interp, &jitted}) {
-    const auto edges = gs::testing::EdgeSet(*m);
-    ASSERT_EQ(edges.size(), golden.size());
-    for (const auto& [row, col, w] : golden) {
-      auto it = edges.find({row, col});
-      ASSERT_NE(it, edges.end()) << "edge (" << row << "," << col << ") missing";
-      EXPECT_EQ(it->second, w);
-    }
+  Rng rng(123);
+  const auto edges = gs::testing::EdgeSet(FusedSliceSample(g.adj(), cols, k, rng));
+  ASSERT_EQ(edges.size(), golden.size());
+  for (const auto& [row, col, w] : golden) {
+    auto it = edges.find({row, col});
+    ASSERT_NE(it, edges.end()) << "edge (" << row << "," << col << ") missing";
+    EXPECT_EQ(it->second, w);
   }
 }
 

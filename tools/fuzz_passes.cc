@@ -31,14 +31,6 @@
 // sequence under a randomly drawn admission policy must report identical
 // hit/miss counts and identical gathered rows.
 //
-// With --jit every draw additionally runs the gs::jit differential: the same
-// compiled plan is sampled twice — once purely interpreted, once with the
-// JIT engine's native jump table attached — and every batch must come back
-// bit-identical. This is the JIT tier's core guarantee that native code
-// changes where cycles are spent, never what is sampled. Draws whose config
-// produces no fused regions (fusion off, or an algorithm with nothing to
-// fuse) skip the comparison.
-//
 // With --mutate every draw additionally runs the gs::dyn differential: the
 // base graph is wrapped in a GraphStore, a seeded MutationGen stream applies
 // a drawn number of MutationBatches (with a mid-stream Seal), and the
@@ -54,14 +46,12 @@
 //   fuzz_passes --seeds 100 --shards 2      # + 2-shard-vs-single differential
 //   fuzz_passes --seeds 100 --features      # + feature-gather differential
 //   fuzz_passes --seeds 100 --mutate        # + snapshot-equivalence differential
-//   fuzz_passes --seeds 100 --jit           # + JIT-vs-interpreter differential
 //   fuzz_passes --out failures.txt          # append reproducer lines
 //   fuzz_passes --repro 'algo=LADIES nodes=200 ...'   # replay one line
 //
 // Exit status: 0 when every draw passes, 1 on any failure, 2 on bad usage.
 
 #include <cstdint>
-#include <filesystem>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -86,7 +76,6 @@
 #include "graph/graph.h"
 #include "graph/partition.h"
 #include "graph/store.h"
-#include "jit/jit.h"
 #include "oracle/oracle.h"
 #include "shard/shard.h"
 #include "tensor/tensor.h"
@@ -122,7 +111,6 @@ struct FuzzConfig {
   bool mutate = false;        // adds the snapshot-equivalence differential
   int mutations = 0;          // MutationBatches applied when mutate
   uint64_t mseed = 1;         // mutation-stream seed
-  bool jit = false;           // adds the JIT-vs-interpreter differential
 
   std::string ToLine() const {
     std::ostringstream os;
@@ -135,8 +123,7 @@ struct FuzzConfig {
        << " pass_limit=" << pass_limit << " shards=" << shards
        << " cut=" << cut << " features=" << features << " admission=" << admission
        << " replicas=" << replicas << " kill=" << kill
-       << " mutate=" << mutate << " mutations=" << mutations << " mseed=" << mseed
-       << " jit=" << jit;
+       << " mutate=" << mutate << " mutations=" << mutations << " mseed=" << mseed;
     return os.str();
   }
 
@@ -176,7 +163,6 @@ struct FuzzConfig {
       if (kv.count("mutate")) out.mutate = std::stoi(kv["mutate"]) != 0;
       if (kv.count("mutations")) out.mutations = std::stoi(kv["mutations"]);
       if (kv.count("mseed")) out.mseed = std::stoull(kv["mseed"]);
-      if (kv.count("jit")) out.jit = std::stoi(kv["jit"]) != 0;
     } catch (const std::exception&) {
       return false;
     }
@@ -435,96 +421,18 @@ std::string MutateMismatch(const FuzzConfig& c, bool* ran = nullptr) {
   return "";
 }
 
-// JIT-vs-interpreter differential (--jit): the same compiled plan is sampled
-// through two warmed sessions — one purely interpreted, one with the JIT
-// engine's native jump table attached — and every batch must be
-// bit-identical. The engine is process-global so artifacts accumulate in one
-// scratch dir across draws (the cache verifies each reloaded .so by its
-// embedded key, so stale artifacts cannot poison a draw). Returns an empty
-// string when the contract holds.
-std::string JitMismatch(const FuzzConfig& c, bool* ran = nullptr) {
-  if (ran) *ran = false;
-  if (!c.jit) {
-    return "";
-  }
-  try {
-    gs::device::Device device(c.profile == "t4" ? gs::device::T4Sim()
-                                                : gs::device::V100Sim());
-    gs::device::DeviceGuard guard(device);
-    gs::graph::Graph g = MakeGraph(c);
-    gs::algorithms::AlgorithmProgram ap = gs::algorithms::MakeAlgorithm(c.algo, g);
-    gs::core::SamplerOptions opts = ToSamplerOptions(c);
-    if (ap.updates_model) {
-      opts.super_batch = 1;
-    }
-    auto plan = std::make_shared<gs::core::CompiledPlan>(std::move(ap.program), opts, c.algo);
-    static gs::jit::JitEngine* engine = [] {
-      gs::jit::JitEngineOptions options;
-      options.artifact_dir =
-          (std::filesystem::temp_directory_path() / "gs_fuzz_jit").string();
-      std::filesystem::create_directories(options.artifact_dir);
-      return new gs::jit::JitEngine(options);
-    }();
-    gs::core::SamplerSession interp(plan, g, ap.tensors);
-    gs::core::SamplerSession jitted(plan, g, ap.tensors);
-    if (c.algo == "HetGNN") {
-      interp.BindGraph("rel0", &g.adj());
-      interp.BindGraph("rel1", &g.adj());
-      jitted.BindGraph("rel0", &g.adj());
-      jitted.BindGraph("rel1", &g.adj());
-    }
-    const gs::tensor::IdArray warm = gs::tensor::IdArray::FromVector({0, 1, 2, 3});
-    interp.Warmup(warm);
-    jitted.Warmup(warm);
-    // Post-warmup, like serving: warmup calibrates the plan, and calibration
-    // is part of the digest the artifact keys embed.
-    const auto table = engine->TableFor(*plan);
-    if (table == nullptr) {
-      return "";  // no fused regions under this config: nothing to compare
-    }
-    if (ran) *ran = true;
-    jitted.SetJitTable(table);
-
-    Rng rng = Rng(c.seed ^ 0x317317ULL);
-    for (int b = 0; b < c.num_batches; ++b) {
-      std::vector<int32_t> ids;
-      ids.reserve(static_cast<size_t>(c.batch_size));
-      for (int64_t j = 0; j < c.batch_size; ++j) {
-        ids.push_back(static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(c.nodes))));
-      }
-      const gs::tensor::IdArray frontier = gs::tensor::IdArray::FromVector(ids);
-      const uint64_t seed = c.seed + static_cast<uint64_t>(b) * 2654435761ULL;
-      const std::vector<gs::core::Value> want = interp.SampleSeeded(frontier, seed);
-      const std::vector<gs::core::Value> got = jitted.SampleSeeded(frontier, seed);
-      if (got.size() != want.size()) {
-        return c.algo + ": jit returned " + std::to_string(got.size()) +
-               " outputs, interpreter returned " + std::to_string(want.size());
-      }
-      for (size_t v = 0; v < want.size(); ++v) {
-        if (!gs::core::BitIdentical(got[v], want[v])) {
-          return c.algo + ": batch " + std::to_string(b) + " output " + std::to_string(v) +
-                 " diverged between jit and interpreter";
-        }
-      }
-    }
-  } catch (const std::exception& e) {
-    return std::string("jit THROW ") + e.what();
-  }
-  return "";
-}
-
 bool Fails(const FuzzConfig& c) {
   try {
     return !RunConfig(c).ok() || !ShardMismatch(c).empty() || !FeatureMismatch(c).empty() ||
-           !MutateMismatch(c).empty() || !JitMismatch(c).empty();
+           !MutateMismatch(c).empty();
   } catch (const std::exception&) {
     return true;  // a throwing config is a failing config — keep minimizing
   }
 }
 
 // Ordered differential-dimension ladder, run before the knob minimization:
-// try to drop each dimension — jit first (the cheapest to rule out), then
-// features, mutate, kill-shard, shards — re-verifying the failure after
+// try to drop each dimension — features, mutate, kill-shard, shards —
+// re-verifying the failure after
 // *each* drop rather than assuming the fixed order preserves the repro (a
 // kill-shard failure, for instance, vanishes when the shard drop goes first).
 // A dimension whose removal makes the failure disappear is load-bearing: it
@@ -540,9 +448,6 @@ std::vector<std::string> MinimizeDimensions(FuzzConfig& c) {
       surviving.push_back(name);
     }
   };
-  if (c.jit) {
-    attempt("jit", [](FuzzConfig& t) { t.jit = false; });
-  }
   if (c.features) {
     attempt("features", [](FuzzConfig& t) { t.features = false; });
   }
@@ -672,7 +577,7 @@ void MinimizeShape(FuzzConfig& c) {
 }
 
 FuzzConfig Draw(uint64_t base_seed, uint64_t index, int shards, bool features,
-                bool kill_shard, bool mutate, bool jit) {
+                bool kill_shard, bool mutate) {
   Rng rng = Rng(base_seed).Fork(index);
   const std::vector<std::string> algos = gs::algorithms::AllAlgorithmNames();
   FuzzConfig c;
@@ -715,16 +620,13 @@ FuzzConfig Draw(uint64_t base_seed, uint64_t index, int shards, bool features,
     c.mutations = 1 + static_cast<int>(rng.UniformInt(4));  // 1..4 batches
     c.mseed = rng.UniformInt(1 << 20);
   }
-  // The jit dimension comes from the CLI and draws nothing from the stream,
-  // so every pre-existing stream stays byte-identical without the flag.
-  c.jit = jit;
   return c;
 }
 
 int Usage() {
   std::cerr << "usage: fuzz_passes [--seeds N] [--base-seed S] [--out FILE]\n"
                "                   [--shards N] [--kill-shard] [--features] [--mutate]\n"
-               "                   [--jit] [--repro 'key=value ...']\n";
+               "                   [--repro 'key=value ...']\n";
   return 2;
 }
 
@@ -737,7 +639,6 @@ int main(int argc, char** argv) {
   bool kill_shard = false;
   bool features = false;
   bool mutate = false;
-  bool jit = false;
   std::string out_path;
   std::string repro_line;
   for (int i = 1; i < argc; ++i) {
@@ -762,8 +663,6 @@ int main(int argc, char** argv) {
       features = true;
     } else if (arg == "--mutate") {
       mutate = true;
-    } else if (arg == "--jit") {
-      jit = true;
     } else if (arg == "--out") {
       const char* v = next();
       if (!v) return Usage();
@@ -812,17 +711,8 @@ int main(int argc, char** argv) {
         std::cout << "mutate differential: " << c.mutations
                   << " batches snapshot-equivalent\n";
       }
-      bool jit_ran = false;
-      const std::string jit_mismatch = JitMismatch(c, &jit_ran);
-      if (!jit_mismatch.empty()) {
-        std::cout << "jit differential: " << jit_mismatch << "\n";
-      } else if (jit_ran) {
-        std::cout << "jit differential: native kernels bit-identical\n";
-      } else if (c.jit) {
-        std::cout << "jit differential: skipped (no fused regions)\n";
-      }
       return report.ok() && mismatch.empty() && feature_mismatch.empty() &&
-                     mutate_mismatch.empty() && jit_mismatch.empty()
+                     mutate_mismatch.empty()
                  ? 0
                  : 1;
     } catch (const std::exception& e) {
@@ -834,7 +724,7 @@ int main(int argc, char** argv) {
   int64_t failures = 0;
   for (int64_t i = 0; i < num_seeds; ++i) {
     FuzzConfig c = Draw(base_seed, static_cast<uint64_t>(i), shards, features, kill_shard,
-                        mutate, jit);
+                        mutate);
     std::string detail;
     try {
       const gs::oracle::OracleReport report = RunConfig(c);
@@ -843,18 +733,12 @@ int main(int argc, char** argv) {
         const std::string feature_mismatch = mismatch.empty() ? FeatureMismatch(c) : "";
         const std::string mutate_mismatch =
             mismatch.empty() && feature_mismatch.empty() ? MutateMismatch(c) : "";
-        const std::string jit_mismatch =
-            mismatch.empty() && feature_mismatch.empty() && mutate_mismatch.empty()
-                ? JitMismatch(c)
-                : "";
-        if (mismatch.empty() && feature_mismatch.empty() && mutate_mismatch.empty() &&
-            jit_mismatch.empty()) {
+        if (mismatch.empty() && feature_mismatch.empty() && mutate_mismatch.empty()) {
           continue;
         }
         detail = !mismatch.empty()           ? "shard differential: " + mismatch
                  : !feature_mismatch.empty() ? "feature differential: " + feature_mismatch
-                 : !mutate_mismatch.empty()  ? "mutate differential: " + mutate_mismatch
-                                             : "jit differential: " + jit_mismatch;
+                                             : "mutate differential: " + mutate_mismatch;
       } else {
         detail = report.ToString();
       }

@@ -58,13 +58,6 @@
 //                      generator runs — plan reuse / stale-serving /
 //                      recompile counters land in the report and JSON
 //   --mutate-seed S    seed for the mutation stream (default 0x5EED)
-//   --jit              JIT-compile fused IR regions to native code (gs::jit).
-//                      Epoch/verify modes attach the compiled jump table to
-//                      the session after warmup; serve mode sets
-//                      ServerOptions::jit so every cached plan gets one.
-//                      Region/compile/demotion counters land in the report
-//                      and in the --json keys jit_regions / jit_compiled /
-//                      jit_artifact_hits / jit_hits / jit_demotions
 
 #include <algorithm>
 #include <chrono>
@@ -86,7 +79,6 @@
 #include "graph/io.h"
 #include "graph/store.h"
 #include "fault/fault.h"
-#include "jit/jit.h"
 #include "pipeline/executor.h"
 #include "serving/loadgen.h"
 #include "serving/server.h"
@@ -122,7 +114,6 @@ struct Args {
   uint64_t fault_seed = 0;
   int64_t mutate_stream = 0;
   uint64_t mutate_seed = 0x5EED;
-  bool jit = false;
 };
 
 Args Parse(int argc, char** argv) {
@@ -194,8 +185,6 @@ Args Parse(int argc, char** argv) {
       GS_CHECK(args.mutate_stream > 0) << "--mutate-stream must be > 0";
     } else if (flag == "--mutate-seed") {
       args.mutate_seed = static_cast<uint64_t>(std::atoll(value(i)));
-    } else if (flag == "--jit") {
-      args.jit = true;
     } else {
       GS_CHECK(false) << "unknown flag: " << flag << " (see the header of tools/gsampler_cli.cc)";
     }
@@ -210,7 +199,6 @@ int RunServe(const Args& args, gs::graph::Graph& g) {
   serving::ServerOptions options;
   options.num_workers = args.workers;
   options.serve_features = args.serve_features;
-  options.jit = args.jit;
   serving::Server server(options);
   // --mutate-stream: the dataset becomes a versioned GraphStore endpoint;
   // requests pin their admission-time snapshot while an ingest thread
@@ -278,17 +266,6 @@ int RunServe(const Args& args, gs::graph::Graph& g) {
                   static_cast<long long>(stats.recompiles_background),
                   static_cast<long long>(stats.feature_invalidations));
   }
-  char jit_tail[192] = "";
-  if (args.jit) {
-    std::snprintf(jit_tail, sizeof(jit_tail),
-                  ",\"jit_regions\":%lld,\"jit_compiled\":%lld,"
-                  "\"jit_artifact_hits\":%lld,\"jit_hits\":%lld,\"jit_demotions\":%lld",
-                  static_cast<long long>(stats.jit_regions),
-                  static_cast<long long>(stats.jit_compiled),
-                  static_cast<long long>(stats.jit_artifact_hits),
-                  static_cast<long long>(stats.jit_hits),
-                  static_cast<long long>(stats.jit_demotions));
-  }
   if (args.json) {
     std::printf(
         "{\"mode\":\"serve\",\"algorithm\":\"%s\",\"dataset\":\"%s\","
@@ -299,7 +276,7 @@ int RunServe(const Args& args, gs::graph::Graph& g) {
         "\"plan_cache_hits\":%lld,\"plan_cache_misses\":%lld,"
         "\"feature_requests\":%lld,\"feature_rows\":%lld,"
         "\"feature_hit_rate\":%.4f,\"feature_gather_bytes\":%lld,"
-        "\"feature_miss_bytes\":%lld,\"feature_gather_us\":%lld%s%s}\n",
+        "\"feature_miss_bytes\":%lld,\"feature_gather_us\":%lld%s}\n",
         args.algorithm.c_str(), args.dataset.c_str(),
         static_cast<long long>(report.submitted), static_cast<long long>(report.ok),
         static_cast<long long>(report.rejected),
@@ -315,19 +292,11 @@ int RunServe(const Args& args, gs::graph::Graph& g) {
         static_cast<long long>(stats.feature_rows), stats.FeatureHitRate(),
         static_cast<long long>(stats.feature_gather_bytes),
         static_cast<long long>(stats.feature_miss_bytes),
-        static_cast<long long>(stats.feature_gather_ns / 1000), dyn_tail, jit_tail);
+        static_cast<long long>(stats.feature_gather_ns / 1000), dyn_tail);
   } else {
     std::printf("%s\n%s\n", report.ToString().c_str(), stats.ToString().c_str());
   }
   return report.failed == 0 ? 0 : 1;
-}
-
-// --jit: one engine for the whole run. Default options put artifacts in a
-// temp directory keyed by plan digest, so every session in this process (and
-// a later --load-plan run over the same artifacts) shares compiled kernels.
-gs::jit::JitEngine& CliJitEngine() {
-  static gs::jit::JitEngine engine;
-  return engine;
 }
 
 // Shared session construction over a plan: re-traces the algorithm for its
@@ -343,12 +312,6 @@ std::shared_ptr<gs::core::SamplerSession> OpenSession(
     session->BindGraph("rel1", &g.adj());
   }
   session->Warmup(warmup);
-  if (args.jit) {
-    // After Warmup: calibration is part of the plan digest the kernel
-    // artifacts are keyed by, so attaching earlier would defeat artifact
-    // reuse across restarts.
-    session->SetJitTable(CliJitEngine().TableFor(session->plan()));
-  }
   return session;
 }
 
@@ -511,17 +474,6 @@ int main(int argc, char** argv) {
       sampler.BindGraph("rel0", &g.adj());
       sampler.BindGraph("rel1", &g.adj());
     }
-    if (args.jit) {
-      // Warmup first: calibration is folded into the plan digest the JIT
-      // keys its artifacts by, so attaching before it would compile kernels
-      // under a digest the calibrated plan no longer carries.
-      std::vector<int32_t> warm;
-      for (int32_t v = 0; v < std::min<int64_t>(g.num_nodes(), 8); ++v) {
-        warm.push_back(v);
-      }
-      sampler.Warmup(tensor::IdArray::FromVector(warm));
-      sampler.session().SetJitTable(CliJitEngine().TableFor(sampler.plan()));
-    }
 
     // Pipelined mode: a 2-stage prefetch pipeline per epoch — the sample
     // stage pulls batches from a BatchProducer, the consume stage walks the
@@ -576,43 +528,24 @@ int main(int argc, char** argv) {
       }
     }
     const device::StreamCounters totals = dev.stream().counters();
-    char jit_tail[192] = "";
-    if (args.jit) {
-      const jit::JitStats js = jit::GlobalJitStats();
-      std::snprintf(jit_tail, sizeof(jit_tail),
-                    ",\"jit_regions\":%lld,\"jit_compiled\":%lld,"
-                    "\"jit_artifact_hits\":%lld,\"jit_hits\":%lld,\"jit_demotions\":%lld",
-                    static_cast<long long>(js.regions), static_cast<long long>(js.compiled),
-                    static_cast<long long>(js.artifact_hits), static_cast<long long>(js.hits),
-                    static_cast<long long>(js.demotions));
-    }
     if (args.json) {
       std::printf(
           "{\"mode\":\"epoch\",\"algorithm\":\"%s\",\"dataset\":\"%s\","
           "\"nodes\":%lld,\"edges\":%lld,\"epochs\":%d,\"batches\":%lld,"
           "\"simulated_ms\":%.2f,\"kernels\":%lld,\"sm_pct\":%.1f,"
-          "\"pcie_mb\":%.1f,\"super_batch\":%d%s}\n",
+          "\"pcie_mb\":%.1f,\"super_batch\":%d}\n",
           args.algorithm.c_str(), args.dataset.c_str(),
           static_cast<long long>(g.num_nodes()), static_cast<long long>(g.num_edges()),
           args.epochs, static_cast<long long>(total_batches),
           static_cast<double>(totals.virtual_ns) / 1e6,
           static_cast<long long>(totals.kernels_launched), totals.SmUtilizationPercent(),
-          static_cast<double>(totals.pcie_bytes) / 1e6, sampler.effective_super_batch(),
-          jit_tail);
+          static_cast<double>(totals.pcie_bytes) / 1e6, sampler.effective_super_batch());
     } else {
       if (pipe != nullptr) {
         std::printf("%s", pipe->metrics().ToString().c_str());
       }
       if (sampler.effective_super_batch() > 0) {
         std::printf("auto-tuned super-batch size: %d\n", sampler.effective_super_batch());
-      }
-      if (args.jit) {
-        const jit::JitStats js = jit::GlobalJitStats();
-        std::printf("jit: %lld regions, %lld compiled (%lld from artifacts), "
-                    "%lld native hits, %lld demotions\n",
-                    static_cast<long long>(js.regions), static_cast<long long>(js.compiled),
-                    static_cast<long long>(js.artifact_hits), static_cast<long long>(js.hits),
-                    static_cast<long long>(js.demotions));
       }
       if (args.print_ir) {
         std::printf("\n%s", sampler.DebugString().c_str());
