@@ -33,6 +33,11 @@ namespace gs::core {
 
 class BatchProducer;
 
+// A small representative frontier for SamplerSession::Warmup: up to 32 of
+// the graph's train ids when it has them (warmup then touches the same
+// UVA/feature paths serving will), otherwise the first node ids.
+tensor::IdArray WarmupFrontier(const graph::Graph& graph);
+
 // Per-session execution state over a (shared) CompiledPlan. Construction is
 // cheap: no passes run and no calibration happens here — only binding setup
 // and (when preprocessing is on) evaluation of batch-invariant values.

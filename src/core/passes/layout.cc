@@ -17,6 +17,7 @@
 #include "common/logging.h"
 #include "core/passes.h"
 #include "device/device.h"
+#include "fault/status.h"
 
 namespace gs::core {
 namespace {
@@ -80,6 +81,8 @@ void SelectDataLayout(Program& program, const Bindings& bindings,
         batch.frontier = calibration_batches[b];
         executor.Run(batch, trial);
       }
+    } catch (const fault::TransientError&) {
+      throw;  // a failed kernel says nothing about the candidate
     } catch (const Error& e) {
       // Invalid candidate (e.g. compacting one of two row-space-coupled
       // extracts): infinite cost, the sweep moves on.

@@ -158,17 +158,6 @@ void HealthMonitor::ReportSuccess(int shard) {
   }
 }
 
-void HealthMonitor::ReportProbeFailure(int shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ShardState& s = Check(shard);
-  ++s.counters.probes_failed;
-  if (s.state != ShardHealth::kDead) {
-    return;
-  }
-  s.backoff = std::min(s.backoff * 2, options_.max_probe_backoff);
-  s.next_probe_at = s.probe_attempts + s.backoff;
-}
-
 bool HealthMonitor::AdmitWork(int shard) {
   std::lock_guard<std::mutex> lock(mu_);
   ShardState& s = Check(shard);

@@ -99,10 +99,12 @@ class HealthMonitor {
   const HealthOptions& options() const { return options_; }
 
   // --- Signal sinks ---------------------------------------------------
-  // The device dropped off the interconnect: any state -> dead.
+  // The device dropped off the interconnect: any state -> dead. On a dead
+  // shard it is a failed probe and doubles the backoff window.
   void ReportDeviceLost(int shard);
   // Gray-failure signals: healthy -> suspect; suspect accumulates toward
-  // dead; recovering falls back to suspect.
+  // dead; recovering falls back to suspect; on a dead shard, a failed probe
+  // (doubles the backoff window).
   void ReportExchangeTimeout(int shard);
   void ReportSlowShard(int shard);
   void ReportTransient(int shard);
@@ -110,8 +112,6 @@ class HealthMonitor {
   // A unit of work completed on the shard: suspect/recovering count toward
   // re-admission; dead (a successful probe) -> recovering.
   void ReportSuccess(int shard);
-  // A probe admitted by AdmitWork failed; doubles the backoff window.
-  void ReportProbeFailure(int shard);
 
   // --- Placement ------------------------------------------------------
   // Whether the shard may take work right now. Healthy, suspect, and

@@ -28,21 +28,6 @@ int64_t ElapsedNs(std::chrono::steady_clock::time_point from,
   return std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count();
 }
 
-// A small representative frontier for plan warmup: real train ids when the
-// dataset has them (warmup then touches the same UVA/feature paths serving
-// will), otherwise the first node ids.
-tensor::IdArray WarmupFrontier(const graph::Graph& graph) {
-  const tensor::IdArray& train = graph.train_ids();
-  const int64_t pool = train.size() > 0 ? train.size() : std::max<int64_t>(graph.num_nodes(), 1);
-  const int64_t n = std::min<int64_t>(32, pool);
-  std::vector<int32_t> ids(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    ids[static_cast<size_t>(i)] =
-        train.size() > 0 ? train[i] : static_cast<int32_t>(i % std::max<int64_t>(graph.num_nodes(), 1));
-  }
-  return tensor::IdArray::FromVector(ids);
-}
-
 // The frontier a response's features are gathered for: the last ids output
 // of the program (the sampled frontier the caller will train on), falling
 // back to the request's seeds for programs that emit no id output.
@@ -305,15 +290,7 @@ void Server::Stop() {
   }
   for (auto& pending : leftovers) {
     queued_.fetch_sub(1, std::memory_order_relaxed);
-    SampleResponse response;
-    response.status = Status::kFailed;
-    response.code = fault::ErrorCode::kInternal;
-    response.request_id = pending->id;
-    response.error = "server stopped";
-    const std::string tenant = pending->request.tenant;
-    pending->promise.set_value(std::move(response));
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    CountFailedLocked(tenant, fault::ErrorCode::kInternal);
+    Finish(*pending, Status::kFailed, fault::ErrorCode::kInternal, "server stopped");
   }
   GS_LOG(Info) << "serving: stopped";
 }
@@ -330,43 +307,24 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
   }
 
   const SampleRequest& req = pending->request;
-  auto finish = [&](Status status, fault::ErrorCode code, const std::string& error,
-                    bool with_retry) {
-    SampleResponse response;
-    response.status = status;
-    response.code = code;
-    response.request_id = pending->id;
-    response.error = error;
-    if (with_retry) {
-      response.retry_after = options_.retry_after;
-    }
-    pending->promise.set_value(std::move(response));
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (status == Status::kRejected) {
-      ++stats_.rejected;
-    } else {
-      CountFailedLocked(req.tenant, code);
-    }
-  };
-
   if (!running_) {
-    finish(Status::kFailed, fault::ErrorCode::kInternal, "server not running", false);
+    Finish(*pending, Status::kFailed, fault::ErrorCode::kInternal, "server not running");
     return future;
   }
   const Endpoint* endpoint = FindEndpoint(req.algorithm, req.dataset);
   if (endpoint == nullptr) {
-    finish(Status::kFailed, fault::ErrorCode::kInvalidRequest,
-           "unknown endpoint: " + EndpointKey(req.algorithm, req.dataset), false);
+    Finish(*pending, Status::kFailed, fault::ErrorCode::kInvalidRequest,
+           "unknown endpoint: " + EndpointKey(req.algorithm, req.dataset));
     return future;
   }
   if (!req.seeds.defined() || req.seeds.empty()) {
-    finish(Status::kFailed, fault::ErrorCode::kInvalidRequest, "empty seed set", false);
+    Finish(*pending, Status::kFailed, fault::ErrorCode::kInvalidRequest, "empty seed set");
     return future;
   }
   for (const int64_t fanout : req.fanouts) {
     if (fanout <= 0) {
-      finish(Status::kFailed, fault::ErrorCode::kInvalidRequest,
-             "fanouts must be positive, got " + std::to_string(fanout), false);
+      Finish(*pending, Status::kFailed, fault::ErrorCode::kInvalidRequest,
+             "fanouts must be positive, got " + std::to_string(fanout));
       return future;
     }
   }
@@ -393,8 +351,8 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
     if (ema > 0) {
       const int64_t waves = backlog / std::max(1, options_.num_workers) + 1;
       if (ema * waves > req.deadline.count()) {
-        finish(Status::kRejected, fault::ErrorCode::kResourceExhausted,
-               "deadline infeasible under current load", true);
+        Finish(*pending, Status::kRejected, fault::ErrorCode::kResourceExhausted,
+               "deadline infeasible under current load");
         return future;
       }
     }
@@ -440,7 +398,8 @@ std::future<SampleResponse> Server::Submit(SampleRequest request) {
       return future;
     }
   }
-  finish(Status::kRejected, fault::ErrorCode::kResourceExhausted, "admission queue full", true);
+  Finish(*pending, Status::kRejected, fault::ErrorCode::kResourceExhausted,
+         "admission queue full");
   return future;
 }
 
@@ -560,7 +519,8 @@ bool Server::ServeOne() {
   }
 
   for (auto& pending : expired) {
-    CompleteExpired(std::move(pending));
+    Finish(*pending, Status::kDeadlineExceeded, fault::ErrorCode::kOk,
+           "deadline expired while queued");
   }
   if (group.empty()) {
     return false;  // spurious token (its request was coalesced or expired)
@@ -569,17 +529,31 @@ bool Server::ServeOne() {
   return true;
 }
 
-void Server::CompleteExpired(std::unique_ptr<Pending> pending) {
+void Server::Finish(Pending& pending, Status status, fault::ErrorCode code, std::string error) {
   SampleResponse response;
-  response.status = Status::kDeadlineExceeded;
-  response.request_id = pending->id;
-  response.degraded = pending->degraded;
-  response.stages.queue_wait_ns = ElapsedNs(pending->submitted, Clock::now());
-  response.stages.total_ns = response.stages.queue_wait_ns;
-  response.error = "deadline expired while queued";
-  pending->promise.set_value(std::move(response));
+  response.status = status;
+  response.code = code;
+  response.request_id = pending.id;
+  response.error = std::move(error);
+  if (status == Status::kRejected) {
+    response.retry_after = options_.retry_after;
+  }
+  if (status == Status::kDeadlineExceeded) {
+    // Only an expired request was admitted (possibly with shed fanouts)
+    // and waited in the queue.
+    response.degraded = pending.degraded;
+    response.stages.queue_wait_ns = ElapsedNs(pending.submitted, Clock::now());
+    response.stages.total_ns = response.stages.queue_wait_ns;
+  }
+  pending.promise.set_value(std::move(response));
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.deadline_exceeded;
+  if (status == Status::kRejected) {
+    ++stats_.rejected;
+  } else if (status == Status::kDeadlineExceeded) {
+    ++stats_.deadline_exceeded;
+  } else {
+    CountFailedLocked(pending.request.tenant, code);
+  }
 }
 
 std::shared_ptr<core::SamplerSession> Server::BuildSession(
@@ -601,7 +575,7 @@ std::shared_ptr<core::SamplerSession> Server::BuildSession(
   }
   auto session = std::make_shared<core::SamplerSession>(
       std::move(plan), graph, std::move(algorithm.tensors), snapshot);
-  session->Warmup(WarmupFrontier(graph));
+  session->Warmup(core::WarmupFrontier(graph));
   return session;
 }
 
@@ -827,183 +801,106 @@ int64_t Server::SavePlans(const std::string& dir) {
   return plan_cache_->SaveAll(dir);
 }
 
-// GCC 12's -Wmaybe-uninitialized loses track of std::optional's engaged flag
-// for the shard_guard below and claims ThreadDeviceGuard::previous_ may be
-// read uninitialized in the destructor; the guard is only ever destroyed
-// engaged (reset()/emplace() pair inside the retry loop).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-void Server::ExecuteAndScatter(std::vector<std::unique_ptr<Pending>> group) {
+// One group's record through ExecuteAndScatter's stages; each stage reads
+// what the earlier ones wrote.
+struct Server::Group {
+  std::vector<std::unique_ptr<Pending>> members;
+  const Endpoint* endpoint = nullptr;
+  // Pinned for the whole group (null unsharded): a mutation epoch may swap
+  // in an incrementally rebuilt partition mid-flight, and routing decisions
+  // must stay consistent within one group.
+  std::shared_ptr<const graph::Partition> partition;
+  PlanKey key;  // the members' shared key; the shed retry halves its fanouts
+
+  // place, redone by every attempt.
+  int exec = 0;           // executing device (0 unsharded, -1 none live)
+  bool degraded = false;  // no replica of the home shard admitted work
+  // Per member: its seeds, or in a degraded group the seeds still covered
+  // (empty: the member is skipped and answered as an empty partial).
+  std::vector<tensor::IdArray> frontiers;
+  std::vector<double> coverage;
+
+  // run.
+  bool shed = false;  // the shed-fanout retry ran
+  bool cache_hit = false;
+  int64_t compile_ns = 0;
+  struct Attempt {  // the latest execution attempt's outcome
+    GroupResult result;
+    bool coalesced = false;
+    int64_t executions = 0;
+    int64_t exchange_hops = 0;
+    int64_t exchange_remote_nodes = 0;
+    int64_t exchange_bytes = 0;
+    int64_t hedged = 0;
+    std::string error;
+    fault::ErrorCode code = fault::ErrorCode::kOk;
+  } attempt;
+
+  // scatter and attach features.
+  std::vector<SampleResponse> responses;
+  int64_t scatter_ns = 0;
+  feature::GatherStats gather;
+  int64_t feature_responses = 0;
+  int64_t feature_ns = 0;
+
+  // A degraded member with nothing covered never ran anywhere.
+  bool skipped(size_t i) const { return degraded && frontiers[i].empty(); }
+};
+
+void Server::ExecuteAndScatter(std::vector<std::unique_ptr<Pending>> members) {
   const Clock::time_point dequeued = Clock::now();
-  for (auto& pending : group) {
+  for (auto& pending : members) {
     pending->dequeued = dequeued;
   }
-  Pending& leader = *group.front();
+  Group group;
+  group.members = std::move(members);
+  const Pending& leader = *group.members.front();
 
   std::ostringstream tag;
   tag << "req=" << leader.id;
-  if (group.size() > 1) {
-    tag << "+" << group.size() - 1;
+  if (group.members.size() > 1) {
+    tag << "+" << group.members.size() - 1;
   }
   ScopedLogTag log_tag(tag.str());
 
-  const Endpoint* endpoint = FindEndpoint(leader.request.algorithm, leader.request.dataset);
-  GS_CHECK(endpoint != nullptr);
-
-  // Sharded mode: each execution attempt re-resolves the executing device —
-  // the home shard's replica chain is walked in placement order, skipping
-  // devices the health monitor holds dead (a dead device still gets one
-  // probe per backoff window). The chosen device is pinned for the
-  // resolve+execute span and cross-shard adjacency pulls are metered with a
-  // FrontierExchange observer. The group is shard-homogeneous because the
-  // shard is part of the plan key; executing on a replica changes only
-  // which timeline is charged, never the outputs (sessions bind the full
-  // graph).
-  const int shard = leader.home_shard;
-  // Pin the partition for the whole execution: a mutation epoch may swap in
-  // an incrementally rebuilt partition mid-flight, and routing decisions
-  // must stay consistent within one group.
-  std::shared_ptr<const graph::Partition> pinned_partition;
-  const graph::Partition* partition = nullptr;
-  std::optional<device::ThreadDeviceGuard> shard_guard;
-  std::optional<fault::ShardScope> fault_scope;
+  group.endpoint = FindEndpoint(leader.request.algorithm, leader.request.dataset);
+  GS_CHECK(group.endpoint != nullptr);
   if (options_.num_shards > 1) {
-    pinned_partition = PartitionFor(endpoint->dataset);
-    partition = pinned_partition.get();
+    group.partition = PartitionFor(group.endpoint->dataset);
   }
-  int64_t exchange_hops = 0;
-  int64_t exchange_remote_nodes = 0;
-  int64_t exchange_bytes = 0;
-  int64_t hedged = 0;
-  int exec_shard = shard;     // device that actually executed (== shard unsharded)
-  bool unavailable = false;   // no live replica of the home shard
+  group.key = leader.key;
 
-  // Recovery ladder around plan resolution + execution. Transient failures
-  // (injected kernel faults, watchdog-cancelled batches, UVA transfer
-  // errors) are retried with exponential backoff — results are a pure
-  // function of (seeds, seed), so a retry returns bit-identical outputs.
-  // Resource exhaustion that survived the allocator's own ladder gets one
-  // retry with shed (halved) fanouts, reusing the overload-degradation
-  // path. Invalid requests and internal errors fail immediately.
-  bool cache_hit = false;
-  int64_t compile_ns = 0;
-  GroupResult result;
-  bool coalesced = false;
-  int64_t executions = 0;
-  std::string error;
-  fault::ErrorCode code = fault::ErrorCode::kOk;
-  PlanKey key = leader.key;
+  Run(group);
+  Scatter(group);
+  AttachFeatures(group);
+  Account(group);
+}
+
+void Server::Run(Group& group) {
+  // Recovery ladder around placement + plan resolution + execution.
+  // Transient failures (injected kernel faults, watchdog-cancelled batches,
+  // UVA transfer errors, exchange timeouts past the hedge budget) are
+  // retried with exponential backoff — results are a pure function of
+  // (seeds, seed), so a retry returns bit-identical outputs. Resource
+  // exhaustion that survived the allocator's own ladder gets one retry with
+  // shed (halved) fanouts, reusing the overload-degradation path. Invalid
+  // requests and internal errors fail immediately.
   int transient_left = std::max(0, options_.max_transient_retries);
-  bool shed_retry_used = false;
   std::chrono::nanoseconds backoff = options_.retry_backoff;
-
   while (true) {
-    error.clear();
-    code = fault::ErrorCode::kOk;
-    result = GroupResult{};
-    coalesced = false;
-    exchange_hops = 0;
-    exchange_remote_nodes = 0;
-    exchange_bytes = 0;
-    hedged = 0;
-    // Placement: walk the home shard's replica chain. A shard.lost
-    // injection at placement marks the device dead and moves on; when no
-    // replica admits work the group degrades instead of failing. Guards
-    // outlive the loop so the feature/scatter phase below still runs on the
-    // executing device.
-    if (options_.num_shards > 1) {
-      fault_scope.reset();
-      shard_guard.reset();
-      exec_shard = -1;
-      const int replicas = partition != nullptr ? partition->num_replicas() : 1;
-      for (int r = 0; r < replicas; ++r) {
-        const int candidate =
-            partition != nullptr ? partition->ReplicaDevice(shard, r) : shard;
-        if (!monitor_->AdmitWork(candidate)) {
-          continue;
-        }
-        fault::ShardScope probe_scope(candidate);
-        if (fault::Injected(fault::Site::kShardLost)) {
-          shard_devices_[static_cast<size_t>(candidate)]->MarkLost();
-          monitor_->ReportDeviceLost(candidate);
-          continue;
-        }
-        exec_shard = candidate;
-        break;
-      }
-      if (exec_shard < 0) {
-        unavailable = true;
-        code = fault::ErrorCode::kUnavailable;
-        error = "no live replica for shard " + std::to_string(shard);
-        break;
-      }
-      shard_guard.emplace(*shard_devices_[static_cast<size_t>(exec_shard)]);
-      fault_scope.emplace(exec_shard);
-    }
+    group.attempt = {};
     try {
-      bool hit = false;
-      int64_t build_ns = 0;
-      std::shared_ptr<core::SamplerSession> plan = plan_cache_->GetOrBuild(
-          key, [&] { return BuildPlan(*endpoint, key, leader.snapshot); }, &hit, &build_ns);
-      cache_hit = hit;
-      compile_ns += build_ns;
-      auto run_group = [&](const std::vector<tensor::IdArray>& frontiers,
-                           const std::vector<uint64_t>& seeds) {
-        if (partition == nullptr) {
-          return ExecuteGroup(*plan, frontiers, seeds);
-        }
-        shard::FrontierExchange exchange(*partition, exec_shard, monitor_.get(),
-                                         options_.max_hedged_exchanges);
-        core::HopObserverGuard observer(exchange);
-        GroupResult group_result = ExecuteGroup(*plan, frontiers, seeds);
-        for (const shard::HopRecord& h : exchange.hops()) {
-          if (h.remote_nodes > 0) {
-            ++exchange_hops;
-          }
-          exchange_remote_nodes += h.remote_nodes;
-          exchange_bytes += h.bytes;
-        }
-        hedged += exchange.hedges();
-        return group_result;
-      };
-      if (plan->Coalescable()) {
-        std::vector<tensor::IdArray> frontiers;
-        std::vector<uint64_t> seeds;
-        frontiers.reserve(group.size());
-        seeds.reserve(group.size());
-        for (auto& pending : group) {
-          frontiers.push_back(pending->request.seeds);
-          seeds.push_back(pending->request.seed);
-        }
-        result = run_group(frontiers, seeds);
-        coalesced = group.size() > 1;
-        executions = 1;
-        break;
-      }
-      // Walk-style plans can't share a segmented execution; serve the
-      // gathered requests back to back on this worker instead.
-      result.outputs.resize(group.size());
-      Timer timer;
-      for (size_t i = 0; i < group.size(); ++i) {
-        GroupResult solo = run_group({group[i]->request.seeds}, {group[i]->request.seed});
-        result.outputs[i] = std::move(solo.outputs[0]);
-      }
-      result.execute_ns = timer.ElapsedNanos();
-      executions = static_cast<int64_t>(group.size());
+      Place(group);
       break;
     } catch (const std::exception& e) {
-      error = e.what();
-      code = fault::Classify(e);
-      if (monitor_ != nullptr && exec_shard >= 0 &&
-          code == fault::ErrorCode::kTransient) {
-        // Injected kernel faults, watchdog cancellations, and exchange
-        // timeouts past the hedge budget feed the shard's suspect state;
-        // the retry below re-resolves placement, so a shard the signals
-        // kill gets skipped on the next attempt.
-        monitor_->ReportTransient(exec_shard);
-      }
+      group.attempt.error = e.what();
+      group.attempt.code = fault::Classify(e);
+    }
+    const fault::ErrorCode code = group.attempt.code;
+    if (code == fault::ErrorCode::kTransient && monitor_ != nullptr && group.exec >= 0) {
+      // Transients feed the executing device's suspect state; the retry
+      // re-places the group, so a device the signals kill gets skipped.
+      monitor_->ReportTransient(group.exec);
     }
     if (code == fault::ErrorCode::kTransient && transient_left > 0) {
       --transient_left;
@@ -1012,103 +909,215 @@ void Server::ExecuteAndScatter(std::vector<std::unique_ptr<Pending>> group) {
         ++stats_.transient_retries;
       }
       GS_LOG(Debug) << "serving: transient failure, retrying after " << backoff.count() / 1000
-                    << " us: " << error;
+                    << " us: " << group.attempt.error;
       std::this_thread::sleep_for(backoff);
       backoff *= 2;
       continue;
     }
     if (code == fault::ErrorCode::kResourceExhausted && options_.shed_on_resource_exhausted &&
-        !shed_retry_used && !key.fanouts.empty()) {
-      shed_retry_used = true;
-      key.fanouts = ShedFanouts(key.fanouts);
+        !group.shed && !group.key.fanouts.empty()) {
+      group.shed = true;
+      group.key.fanouts = ShedFanouts(group.key.fanouts);
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.shed_retries;
       }
-      GS_LOG(Warning) << "serving: resource exhausted, retrying with shed fanouts: " << error;
+      GS_LOG(Warning) << "serving: resource exhausted, retrying with shed fanouts: "
+                      << group.attempt.error;
       continue;
     }
     break;  // terminal failure
   }
-  if (unavailable) {
-    // No live replica of the home shard: answer partially from the devices
-    // still standing rather than failing the whole group.
-    GS_CHECK(partition != nullptr);
-    ServeDegraded(std::move(group), *endpoint, *partition);
-    return;
-  }
-  if (monitor_ != nullptr && error.empty()) {
-    monitor_->ReportSuccess(exec_shard);
-    device::Device& exec_device = *shard_devices_[static_cast<size_t>(exec_shard)];
-    if (exec_device.lost()) {
-      exec_device.Revive();  // a backoff probe made it through
-    }
-  }
-  if (shed_retry_used && error.empty()) {
+  if (group.shed && group.attempt.error.empty()) {
     // Shed-fanout results are degraded regardless of admission-time state.
-    for (auto& pending : group) {
+    for (auto& pending : group.members) {
       pending->degraded = true;
     }
   }
-  GS_LOG(Debug) << "serving: executed group of " << group.size() << " ("
-                << (cache_hit ? "plan hit" : "plan miss") << ", " << result.execute_ns / 1000
-                << " us)" << (error.empty() ? "" : " FAILED");
+  GS_LOG(Debug) << "serving: executed group of " << group.members.size() << " ("
+                << (group.cache_hit ? "plan hit" : "plan miss") << ", "
+                << group.attempt.result.execute_ns / 1000 << " us)"
+                << (group.attempt.error.empty() ? "" : " FAILED");
+}
 
-  // Scatter results back per request.
-  Timer scatter_timer;
-  std::vector<SampleResponse> responses(group.size());
-  for (size_t i = 0; i < group.size(); ++i) {
-    Pending& pending = *group[i];
-    SampleResponse& response = responses[i];
-    response.request_id = pending.id;
-    response.degraded = pending.degraded;
-    response.group_size = coalesced ? static_cast<int>(group.size()) : 1;
-    response.stages.queue_wait_ns = ElapsedNs(pending.submitted, pending.dequeued);
-    response.stages.compile_ns = compile_ns;
-    response.stages.plan_cache_hit = cache_hit;
-    response.stages.execute_ns = result.execute_ns;
-    if (error.empty()) {
-      response.status = Status::kOk;
-      response.outputs = std::move(result.outputs[i]);
-    } else {
-      response.status = Status::kFailed;
-      response.error = error;
-      response.code = code;
+void Server::Place(Group& group) {
+  const size_t n = group.members.size();
+  group.degraded = false;
+  group.frontiers.clear();
+  for (const auto& pending : group.members) {
+    group.frontiers.push_back(pending->request.seeds);
+  }
+  group.coverage.assign(n, 1.0);
+  if (group.partition == nullptr) {
+    Execute(group);  // unsharded: the worker's own device
+    return;
+  }
+  // Walk the home shard's replica chain; executing on a replica changes
+  // only which timeline is charged, never the outputs (sessions bind the
+  // full graph).
+  group.exec = -1;
+  shard::Placement placed;
+  shard::RunOnReplicaChain(
+      *group.partition, group.members.front()->home_shard, 0, *monitor_, shard_devices_,
+      [&](int device) {
+        group.exec = device;
+        Execute(group);
+      },
+      &placed);
+  if (placed.device >= 0) {
+    return;
+  }
+  // No live replica of the home shard: answer each member partially from
+  // the devices still standing rather than failing the group. The fallback
+  // is the lowest-numbered live device, so every worker resolves the same
+  // device for the same monitor state and a replayed fault schedule
+  // reproduces the same degraded outputs bit-for-bit.
+  group.degraded = true;
+  bool any_covered = false;
+  for (size_t i = 0; i < n; ++i) {
+    const tensor::IdArray& seeds = group.members[i]->request.seeds;
+    group.coverage[i] =
+        ha::CoverageFraction(*group.partition, *monitor_, seeds.data(), seeds.size());
+    group.frontiers[i] = tensor::IdArray::FromVector(
+        ha::CoveredIds(*group.partition, *monitor_, seeds.data(), seeds.size()));
+    any_covered = any_covered || !group.frontiers[i].empty();
+  }
+  if (!any_covered) {
+    return;  // every member is an empty partial; nothing runs
+  }
+  for (int s = 0; s < options_.num_shards; ++s) {
+    if (monitor_->Alive(s)) {
+      group.exec = s;
+      shard::RunOnDevice(s, shard_devices_, monitor_.get(), [&] { Execute(group); });
+      return;
     }
   }
-  const int64_t scatter_ns = scatter_timer.ElapsedNanos();
+  throw fault::ShardUnavailableError("no live device for degraded serving");
+}
 
-  // Feature tier: attach the gathered feature rows to every successful
-  // response, each through its tenant's cache partition on this shard (the
-  // shard device guard is still active, so backing pages and gather kernels
-  // land on the executing shard). Coalesced members gather from their own
-  // scattered outputs, so the rows are identical to being served alone.
-  feature::GatherStats group_gather;
-  int64_t feature_responses = 0;
-  int64_t feature_wall_ns = 0;
+void Server::Execute(Group& group) {
+  bool hit = false;
+  int64_t build_ns = 0;
+  const std::shared_ptr<const graph::Snapshot>& snapshot = group.members.front()->snapshot;
+  std::shared_ptr<core::SamplerSession> plan = plan_cache_->GetOrBuild(
+      group.key, [&] { return BuildPlan(*group.endpoint, group.key, snapshot); }, &hit,
+      &build_ns);
+  group.cache_hit = hit;
+  group.compile_ns += build_ns;
+  // Sharded groups meter cross-shard adjacency pulls with a FrontierExchange.
+  auto execute = [&](const std::vector<tensor::IdArray>& frontiers,
+                     const std::vector<uint64_t>& seeds) {
+    if (group.partition == nullptr) {
+      return ExecuteGroup(*plan, frontiers, seeds);
+    }
+    shard::FrontierExchange exchange(*group.partition, group.exec, monitor_.get(),
+                                     options_.max_hedged_exchanges);
+    core::HopObserverGuard observer(exchange);
+    GroupResult result = ExecuteGroup(*plan, frontiers, seeds);
+    for (const shard::HopRecord& h : exchange.hops()) {
+      if (h.remote_nodes > 0) {
+        ++group.attempt.exchange_hops;
+      }
+      group.attempt.exchange_remote_nodes += h.remote_nodes;
+      group.attempt.exchange_bytes += h.bytes;
+    }
+    group.attempt.hedged += exchange.hedges();
+    return result;
+  };
+  const size_t n = group.members.size();
+  if (plan->Coalescable() && !group.degraded) {
+    std::vector<uint64_t> seeds;
+    seeds.reserve(n);
+    for (const auto& pending : group.members) {
+      seeds.push_back(pending->request.seed);
+    }
+    group.attempt.result = execute(group.frontiers, seeds);
+    group.attempt.coalesced = n > 1;
+    group.attempt.executions = 1;
+    return;
+  }
+  // Walk-style plans can't share a segmented execution, and a degraded
+  // group's members each cover a different frontier: serve the members back
+  // to back on this worker instead.
+  group.attempt.result.outputs.resize(n);
+  Timer timer;
+  int64_t executions = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (group.skipped(i)) {
+      continue;
+    }
+    GroupResult solo = execute({group.frontiers[i]}, {group.members[i]->request.seed});
+    group.attempt.result.outputs[i] = std::move(solo.outputs[0]);
+    ++executions;
+  }
+  group.attempt.result.execute_ns = timer.ElapsedNanos();
+  group.attempt.executions = executions;
+}
+
+void Server::Scatter(Group& group) {
+  Timer timer;
+  const size_t n = group.members.size();
+  group.responses.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Pending& pending = *group.members[i];
+    SampleResponse& response = group.responses[i];
+    response.request_id = pending.id;
+    response.degraded = pending.degraded || group.degraded;
+    response.coverage = group.coverage[i];
+    response.group_size = group.attempt.coalesced ? static_cast<int>(n) : 1;
+    response.stages.queue_wait_ns = ElapsedNs(pending.submitted, pending.dequeued);
+    response.stages.compile_ns = group.compile_ns;
+    response.stages.plan_cache_hit = group.cache_hit;
+    response.stages.execute_ns = group.attempt.result.execute_ns;
+    if (group.skipped(i)) {
+      // Nothing coverable: an honest empty partial (coverage says why),
+      // never a request error.
+      response.status = Status::kDegraded;
+    } else if (!group.attempt.error.empty()) {
+      response.status = Status::kFailed;
+      response.error = group.attempt.error;
+      response.code = group.attempt.code;
+    } else {
+      response.status = group.degraded ? Status::kDegraded : Status::kOk;
+      response.outputs = std::move(group.attempt.result.outputs[i]);
+    }
+  }
+  group.scatter_ns = timer.ElapsedNanos();
+}
+
+void Server::AttachFeatures(Group& group) {
   // Rows come from the group's own graph: a dynamic group's pinned snapshot
   // holds its epoch's feature tensor, so feature updates applied while the
   // group was in flight never leak into its responses.
+  const Pending& leader = *group.members.front();
   const graph::Graph& served =
-      leader.snapshot != nullptr ? leader.snapshot->graph() : *endpoint->graph;
-  if (options_.serve_features && error.empty() && served.features().defined()) {
-    const feature::FeatureStore store(served.features());
-    for (size_t i = 0; i < group.size(); ++i) {
-      SampleResponse& response = responses[i];
+      leader.snapshot != nullptr ? leader.snapshot->graph() : *group.endpoint->graph;
+  if (!options_.serve_features || !group.attempt.error.empty() || group.degraded ||
+      !served.features().defined()) {
+    return;
+  }
+  // Each kOk response gathers through its tenant's cache partition on the
+  // executing device (backing pages and gather kernels land there).
+  // Coalesced members gather from their own scattered outputs, so the rows
+  // are identical to being served alone.
+  const feature::FeatureStore store(served.features());
+  auto gather = [&] {
+    for (size_t i = 0; i < group.members.size(); ++i) {
+      SampleResponse& response = group.responses[i];
       if (response.status != Status::kOk) {
         continue;
       }
-      feature::HotSetCache* cache = TenantFeatureCache(
-          exec_shard, group[i]->request.tenant, endpoint->dataset, store.row_bytes());
+      const SampleRequest& request = group.members[i]->request;
+      feature::HotSetCache* cache = TenantFeatureCache(group.exec, request.tenant,
+                                                       group.endpoint->dataset, store.row_bytes());
       Timer feature_timer;
       try {
-        const tensor::IdArray& ids =
-            FeatureFrontier(response.outputs, group[i]->request.seeds);
-        response.features = store.Gather(ids, cache, &group_gather);
+        const tensor::IdArray& ids = FeatureFrontier(response.outputs, request.seeds);
+        response.features = store.Gather(ids, cache, &group.gather);
         response.feature_ids = ids;
         response.stages.feature_ns = feature_timer.ElapsedNanos();
-        feature_wall_ns += response.stages.feature_ns;
-        ++feature_responses;
+        group.feature_ns += response.stages.feature_ns;
+        ++group.feature_responses;
       } catch (const std::exception& e) {
         // A failed gather (injected transfer fault) fails the response —
         // a frontier without the features the caller asked for is not a
@@ -1121,192 +1130,85 @@ void Server::ExecuteAndScatter(std::vector<std::unique_ptr<Pending>> group) {
         response.code = fault::Classify(e);
       }
     }
+  };
+  if (group.partition == nullptr) {
+    gather();
+  } else {
+    shard::RunOnDevice(group.exec, shard_devices_, nullptr, gather);
   }
+}
 
-  // Service-time EMA feeding deadline admission (amortized per request).
-  if (error.empty()) {
+void Server::Account(Group& group) {
+  const size_t n = group.members.size();
+  if (group.attempt.error.empty()) {
+    // Service-time EMA feeding deadline admission (amortized per request).
     const int64_t per_request =
-        (compile_ns + result.execute_ns) / static_cast<int64_t>(group.size());
+        (group.compile_ns + group.attempt.result.execute_ns) / static_cast<int64_t>(n);
     const int64_t previous = ema_service_ns_.load(std::memory_order_relaxed);
     const int64_t next = previous == 0 ? per_request : (7 * previous + per_request) / 8;
     ema_service_ns_.store(next, std::memory_order_relaxed);
   }
-
-  std::vector<int64_t> totals(group.size());
   const Clock::time_point done = Clock::now();
-  for (size_t i = 0; i < group.size(); ++i) {
-    responses[i].stages.scatter_ns = scatter_ns;
-    totals[i] = ElapsedNs(group[i]->submitted, done);
-    responses[i].stages.total_ns = totals[i];
+  int64_t ran = 0;
+  for (size_t i = 0; i < n; ++i) {
+    group.responses[i].stages.scatter_ns = group.scatter_ns;
+    group.responses[i].stages.total_ns = ElapsedNs(group.members[i]->submitted, done);
+    ran += group.skipped(i) ? 0 : 1;
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.executions += executions;
-    stats_.requests_executed += static_cast<int64_t>(group.size());
-    if (coalesced) {
+    stats_.executions += group.attempt.executions;
+    stats_.requests_executed += ran;
+    if (group.attempt.coalesced) {
       ++stats_.coalesced_executions;
     }
-    if (error.empty() && options_.num_shards > 1) {
-      stats_.exchange_hops += exchange_hops;
-      stats_.exchange_remote_nodes += exchange_remote_nodes;
-      stats_.exchange_bytes += exchange_bytes;
-      stats_.hedged_exchanges += hedged;
-      if (exec_shard != shard) {
-        // Served by a non-primary replica: count one failover per execution,
+    if (group.attempt.error.empty() && options_.num_shards > 1) {
+      stats_.exchange_hops += group.attempt.exchange_hops;
+      stats_.exchange_remote_nodes += group.attempt.exchange_remote_nodes;
+      stats_.exchange_bytes += group.attempt.exchange_bytes;
+      stats_.hedged_exchanges += group.attempt.hedged;
+      if (!group.degraded && group.exec != group.members.front()->home_shard) {
+        // Served by a non-primary replica: count one failover per group,
         // not per coalesced member.
         ++stats_.failovers;
       }
     }
-    if (feature_responses > 0) {
-      stats_.feature_requests += feature_responses;
-      stats_.feature_rows += group_gather.rows;
-      stats_.feature_cache_hits += group_gather.hits;
-      stats_.feature_cache_misses += group_gather.misses;
-      stats_.feature_gather_bytes += group_gather.gathered_bytes;
-      stats_.feature_miss_bytes += group_gather.miss_bytes;
-      stats_.feature_gather_ns += feature_wall_ns;
+    if (group.feature_responses > 0) {
+      stats_.feature_requests += group.feature_responses;
+      stats_.feature_rows += group.gather.rows;
+      stats_.feature_cache_hits += group.gather.hits;
+      stats_.feature_cache_misses += group.gather.misses;
+      stats_.feature_gather_bytes += group.gather.gathered_bytes;
+      stats_.feature_miss_bytes += group.gather.miss_bytes;
+      stats_.feature_gather_ns += group.feature_ns;
     }
-    for (size_t i = 0; i < group.size(); ++i) {
-      if (responses[i].status == Status::kOk) {
-        ++stats_.completed;
-        ++stats_.per_tenant_completed[group[i]->request.tenant];
-        if (options_.num_shards > 1) {
-          // Attribute to the device that did the work, so failover shows up
-          // in the per-shard breakdown instead of crediting the dead shard.
-          ++stats_.per_shard_completed[exec_shard];
-        }
-        if (responses[i].degraded) {
-          ++stats_.degraded;
-        }
-        shard_latency_[static_cast<size_t>(exec_shard)].Record(totals[i]);
-      } else {
-        CountFailedLocked(group[i]->request.tenant, responses[i].code);
+    for (size_t i = 0; i < n; ++i) {
+      const SampleResponse& response = group.responses[i];
+      const std::string& tenant = group.members[i]->request.tenant;
+      if (response.status == Status::kFailed) {
+        CountFailedLocked(tenant, response.code);
+        continue;
       }
-    }
-  }
-  for (size_t i = 0; i < group.size(); ++i) {
-    group[i]->promise.set_value(std::move(responses[i]));
-  }
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-void Server::ServeDegraded(std::vector<std::unique_ptr<Pending>> group, const Endpoint& endpoint,
-                           const graph::Partition& partition) {
-  // Fallback placement: the lowest-numbered live device. Every worker
-  // resolves the same device for the same monitor state, so a replayed
-  // fault schedule reproduces the same degraded outputs bit-for-bit.
-  int exec = -1;
-  for (int s = 0; s < options_.num_shards; ++s) {
-    if (monitor_->Alive(s)) {
-      exec = s;
-      break;
-    }
-  }
-
-  // Resolve the plan once for the group (shard-homogeneous key). Failures
-  // here must still fulfill every promise below — no future may hang.
-  std::shared_ptr<core::SamplerSession> plan;
-  std::string plan_error;
-  int64_t compile_ns = 0;
-  bool cache_hit = false;
-  if (exec >= 0) {
-    device::ThreadDeviceGuard guard(*shard_devices_[static_cast<size_t>(exec)]);
-    try {
-      bool hit = false;
-      const PlanKey& key = group.front()->key;
-      plan = plan_cache_->GetOrBuild(
-          key, [&] { return BuildPlan(endpoint, key, group.front()->snapshot); }, &hit,
-          &compile_ns);
-      cache_hit = hit;
-    } catch (const std::exception& e) {
-      plan_error = std::string("degraded plan resolution failed: ") + e.what();
-    }
-  }
-
-  std::vector<SampleResponse> responses(group.size());
-  std::vector<char> ran(group.size(), 0);
-  int64_t executed = 0;
-  for (size_t i = 0; i < group.size(); ++i) {
-    Pending& pending = *group[i];
-    SampleResponse& response = responses[i];
-    response.request_id = pending.id;
-    response.group_size = 1;
-    response.degraded = true;
-    response.status = Status::kDegraded;
-    response.stages.queue_wait_ns = ElapsedNs(pending.submitted, pending.dequeued);
-    response.stages.compile_ns = compile_ns;
-    response.stages.plan_cache_hit = cache_hit;
-    const tensor::IdArray& seeds = pending.request.seeds;
-    response.coverage =
-        ha::CoverageFraction(partition, *monitor_, seeds.data(), seeds.size());
-    const std::vector<int32_t> covered =
-        ha::CoveredIds(partition, *monitor_, seeds.data(), seeds.size());
-    if (covered.empty()) {
-      // Nothing coverable: an honest empty partial (coverage says why),
-      // never a request error. Feature gather is skipped in degraded mode.
-      continue;
-    }
-    if (plan == nullptr) {
-      response.status = Status::kFailed;
-      response.error = exec < 0 ? "no live device for degraded serving" : plan_error;
-      response.code = fault::ErrorCode::kUnavailable;
-      continue;
-    }
-    // Serve the covered subset solo on the fallback device; coalescing is
-    // pointless here because each member's covered frontier differs.
-    device::ThreadDeviceGuard guard(*shard_devices_[static_cast<size_t>(exec)]);
-    fault::ShardScope scope(exec);
-    int transient_left = std::max(0, options_.max_transient_retries);
-    while (true) {
-      try {
-        shard::FrontierExchange exchange(partition, exec, monitor_.get(),
-                                         options_.max_hedged_exchanges);
-        core::HopObserverGuard observer(exchange);
-        GroupResult solo =
-            ExecuteGroup(*plan, {tensor::IdArray::FromVector(covered)}, {pending.request.seed});
-        response.outputs = std::move(solo.outputs[0]);
-        response.stages.execute_ns = solo.execute_ns;
-        ran[i] = 1;
-        ++executed;
-        break;
-      } catch (const std::exception& e) {
-        const fault::ErrorCode code = fault::Classify(e);
-        if (code == fault::ErrorCode::kTransient && transient_left-- > 0) {
-          continue;
-        }
-        response.status = Status::kFailed;
-        response.error = e.what();
-        response.code = code;
-        break;
-      }
-    }
-  }
-
-  const Clock::time_point done = Clock::now();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.executions += executed;
-    stats_.requests_executed += executed;
-    for (size_t i = 0; i < group.size(); ++i) {
-      const int64_t total = ElapsedNs(group[i]->submitted, done);
-      responses[i].stages.total_ns = total;
-      if (responses[i].status == Status::kDegraded) {
-        ++stats_.completed;
+      ++stats_.completed;
+      ++stats_.per_tenant_completed[tenant];
+      if (response.status == Status::kDegraded) {
         ++stats_.partial;
-        ++stats_.per_tenant_completed[group[i]->request.tenant];
-        if (ran[i]) {
-          ++stats_.per_shard_completed[exec];
-          shard_latency_[static_cast<size_t>(exec)].Record(total);
-        }
-      } else {
-        CountFailedLocked(group[i]->request.tenant, responses[i].code);
+      } else if (response.degraded) {
+        ++stats_.degraded;
       }
+      if (group.skipped(i)) {
+        continue;
+      }
+      if (options_.num_shards > 1) {
+        // Attribute to the device that did the work, so failover shows up
+        // in the per-shard breakdown instead of crediting the dead shard.
+        ++stats_.per_shard_completed[group.exec];
+      }
+      shard_latency_[static_cast<size_t>(group.exec)].Record(response.stages.total_ns);
     }
   }
-  for (size_t i = 0; i < group.size(); ++i) {
-    group[i]->promise.set_value(std::move(responses[i]));
+  for (size_t i = 0; i < n; ++i) {
+    group.members[i]->promise.set_value(std::move(group.responses[i]));
   }
 }
 

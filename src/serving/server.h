@@ -1,24 +1,33 @@
 // gs::serving::Server — embedded multi-tenant sampling service.
 //
-// Concurrent SampleRequests flow through four stages:
+// Concurrent SampleRequests flow through admission, queueing, and the
+// staged execution of each coalesced group:
 //
-//   1. Admission (Submit, caller thread): unknown endpoints fail fast;
-//      requests whose deadline cannot plausibly be met (EMA service-time
-//      estimate x queue depth) are rejected; a full admission queue rejects
-//      with a retry-after hint; past the shed threshold requests are
-//      admitted with halved fanouts (graceful degradation) — so overload
-//      degrades fidelity before it degrades availability.
-//   2. Queueing: admitted requests wait in per-tenant queues. Workers pick
-//      the least-served tenant first (fair queueing), then the earliest
-//      deadline within it (EDF; priority breaks ties). Requests that expire
-//      while queued complete as kDeadlineExceeded without executing.
-//   3. Execution: the worker resolves the request's compiled plan through
-//      the PlanCache (LRU under a byte budget), gathers up to coalesce_max
-//      queued requests with the same plan key, and runs them as ONE
-//      segmented super-batch (serving/coalescer.h). Per-segment RNG streams
-//      make each member's results bit-identical to being served alone.
-//   4. Scatter: group outputs are split per request and promises fulfilled,
-//      with a per-stage wall-latency breakdown in every response.
+//   Admission (Submit, caller thread): unknown endpoints fail fast;
+//   requests whose deadline cannot plausibly be met (EMA service-time
+//   estimate x queue depth) are rejected; a full admission queue rejects
+//   with a retry-after hint; past the shed threshold requests are admitted
+//   with halved fanouts — overload degrades fidelity before availability.
+//   Queueing: per-tenant queues. Workers pick the least-served tenant
+//   (fair queueing), then the earliest deadline within it (EDF; priority
+//   breaks ties), and gather up to coalesce_max queued requests with the
+//   same plan key into one group. Requests that expire while queued
+//   complete as kDeadlineExceeded without executing.
+//   Execution (ExecuteAndScatter) passes one Group record through stages:
+//     place   — the home shard's replica chain (shard::RunOnReplicaChain);
+//               when no replica admits work the group degrades: members
+//               are cut to their covered seeds (ha::CoveredIds) and run on
+//               the lowest-numbered live device.
+//     run     — plan resolve (PlanCache) + execution under one recovery
+//               ladder (transient backoff, one shed-fanout retry) that
+//               re-places every attempt. A coalescable plan runs the group
+//               as ONE segmented super-batch (serving/coalescer.h),
+//               bit-identical per member to being served alone; walk-style
+//               plans and degraded groups run their members solo.
+//     scatter — one kOk, kDegraded (with coverage) or kFailed response per
+//               member, with a per-stage wall-latency breakdown.
+//     attach features — feature rows for kOk responses.
+//     account — one stats update, then the promises.
 //
 // Built on pipeline::WorkerPool (one device stream per worker) and
 // pipeline::BoundedQueue (admission tokens with TryPush rejection). The
@@ -67,7 +76,7 @@
 #include "serving/plan_cache.h"
 #include "serving/request.h"
 #include "serving/stats.h"
-
+#include "shard/shard.h"
 
 namespace gs::serving {
 
@@ -230,15 +239,24 @@ class Server {
   // Handles one admission token: picks a group and serves it. Returns false
   // when the token found no queued request (tolerated imbalance).
   bool ServeOne();
-  // Completes `p` as expired. Caller must not hold sched_mutex_.
-  void CompleteExpired(std::unique_ptr<Pending> p);
-  void ExecuteAndScatter(std::vector<std::unique_ptr<Pending>> group);
-  // Degraded-mode path: the group's home shard has no live replica. Serves
-  // each member's *covered* seeds (those whose home shard still has a live
-  // replica) on the lowest-numbered live device and answers with
-  // Status::kDegraded plus the coverage fraction — never a request error.
-  void ServeDegraded(std::vector<std::unique_ptr<Pending>> group, const Endpoint& endpoint,
-                     const graph::Partition& partition);
+  // Completes `pending` without executing it: fulfills its promise with a
+  // terminal `status` response and counts it (rejected, deadline_exceeded,
+  // or failed under `code`). Rejections carry the retry-after hint; an
+  // expired request reports its queue wait. Caller must not hold
+  // sched_mutex_ or stats_mutex_.
+  void Finish(Pending& pending, Status status, fault::ErrorCode code, std::string error);
+
+  // Serves one group (members share a plan key, hence a home shard) through
+  // the stages above. Every group takes this path: coalesced, walk-style
+  // solo, failed over, or degraded.
+  struct Group;
+  void ExecuteAndScatter(std::vector<std::unique_ptr<Pending>> members);
+  void Run(Group& group);      // the recovery ladder; re-places every attempt
+  void Place(Group& group);    // picks the device, runs Execute pinned to it
+  void Execute(Group& group);  // one attempt: plan resolve + execution
+  void Scatter(Group& group);
+  void AttachFeatures(Group& group);
+  void Account(Group& group);
   // The one session factory: traces the endpoint's program against the
   // served graph (the pinned `snapshot` for dynamic endpoints, else the
   // endpoint's static graph), builds a session over `plan` — or over a
@@ -290,7 +308,7 @@ class Server {
   // readers copy the shared_ptr (PartitionFor) and use it lock-free.
   mutable std::mutex partition_mutex_;
   std::map<std::string, std::shared_ptr<const graph::Partition>> partitions_;
-  std::vector<std::unique_ptr<device::Device>> shard_devices_;
+  shard::Devices shard_devices_;
   std::unique_ptr<ha::HealthMonitor> monitor_;
   // Feature serving: per-(shard, tenant, dataset) cache partitions; rows
   // are gathered from the executing group's own graph (its pinned snapshot

@@ -9,25 +9,6 @@
 #include "fault/status.h"
 
 namespace gs::shard {
-namespace {
-
-// Small representative frontier for per-shard warmup (same policy as the
-// serving tier): train ids when present, else the first node ids.
-tensor::IdArray WarmupFrontier(const graph::Graph& graph) {
-  const tensor::IdArray& train = graph.train_ids();
-  const int64_t pool = train.size() > 0 ? train.size() : std::max<int64_t>(graph.num_nodes(), 1);
-  const int64_t n = std::min<int64_t>(32, pool);
-  std::vector<int32_t> ids(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    ids[static_cast<size_t>(i)] =
-        train.size() > 0 ? train[i]
-                         : static_cast<int32_t>(i % std::max<int64_t>(graph.num_nodes(), 1));
-  }
-  return tensor::IdArray::FromVector(ids);
-}
-
-}  // namespace
-
 void ExchangeStats::Add(const std::vector<HopRecord>& hops_taken) {
   samples += 1;
   if (per_hop.size() < hops_taken.size()) {
@@ -175,6 +156,47 @@ void FrontierExchange::OnHop(const sparse::Matrix& graph, const tensor::IdArray&
   hops_.push_back(record);
 }
 
+void RunOnDevice(int device, const Devices& devices, ha::HealthMonitor* monitor,
+                 const std::function<void()>& work) {
+  device::Device& pinned = *devices[static_cast<size_t>(device)];
+  {
+    // Kernels advance this device's timeline and allocations draw from its
+    // capacity; the ShardScope routes shard-qualified fault clauses here.
+    device::ThreadDeviceGuard device_guard(pinned);
+    fault::ShardScope fault_shard(device);
+    work();
+  }
+  if (monitor != nullptr) {
+    monitor->ReportSuccess(device);
+    if (pinned.lost()) {
+      pinned.Revive();  // a backoff probe made it through
+    }
+  }
+}
+
+void RunOnReplicaChain(const graph::Partition& partition, int shard, int first,
+                       ha::HealthMonitor& monitor, const Devices& devices,
+                       const std::function<void(int device)>& work, Placement* placement) {
+  *placement = Placement{};
+  for (int r = first; r < partition.num_replicas(); ++r) {
+    const int candidate = partition.ReplicaDevice(shard, r);
+    if (!monitor.AdmitWork(candidate)) {
+      continue;  // dead and not yet due for a backoff probe
+    }
+    {
+      fault::ShardScope probe_scope(candidate);
+      if (fault::Injected(fault::Site::kShardLost)) {
+        devices[static_cast<size_t>(candidate)]->MarkLost();
+        monitor.ReportDeviceLost(candidate);
+        continue;
+      }
+    }
+    *placement = Placement{r, candidate};
+    RunOnDevice(candidate, devices, &monitor, [&] { work(candidate); });
+    return;
+  }
+}
+
 ShardGroup::ShardGroup(const graph::Graph& graph, core::Program program,
                        std::map<std::string, tensor::Tensor> tensors, ShardGroupOptions options)
     : options_(std::move(options)),
@@ -232,7 +254,7 @@ void ShardGroup::Init(const graph::Graph& graph, std::map<std::string, tensor::T
                                  ? options_.feature_cache_rows
                                  : std::max<int64_t>(graph.num_nodes() / 10, 64);
 
-  const tensor::IdArray warmup = WarmupFrontier(graph);
+  const tensor::IdArray warmup = core::WarmupFrontier(graph);
   devices_.reserve(static_cast<size_t>(options_.num_shards));
   sessions_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
@@ -264,79 +286,67 @@ int ShardGroup::Route(const tensor::IdArray& frontier) const {
 std::vector<core::Value> ShardGroup::Sample(int shard, const tensor::IdArray& frontier,
                                             uint64_t seed, std::vector<HopRecord>* hops) const {
   GS_CHECK(shard >= 0 && shard < options_.num_shards) << "shard " << shard << " out of range";
-  // Walk the shard's replica chain in placement order (primary first).
-  // Every replica binds the full graph and SampleSeeded is pure, so where
-  // the sample lands never changes what it returns — failover is invisible
-  // in the outputs and visible only in the per-device timelines and the
-  // failover counter. The chain order is a pure function of the partition,
-  // so a seeded FaultPlan replays identical decisions.
-  bool transient_failure = false;
-  std::string last_error;
-  for (int r = 0; r < options_.num_replicas; ++r) {
-    const int exec = partition_->ReplicaDevice(shard, r);
-    if (!monitor_->AdmitWork(exec)) {
-      continue;  // dead and not yet due for a backoff probe
-    }
-    // Pin this thread to the executing device so kernels advance its
-    // timeline and allocations draw from its capacity; the ShardScope
-    // routes shard-qualified fault clauses at this placement.
-    device::ThreadDeviceGuard device_guard(*devices_[static_cast<size_t>(exec)]);
-    fault::ShardScope fault_shard(exec);
-    if (fault::Injected(fault::Site::kShardLost)) {
-      devices_[static_cast<size_t>(exec)]->MarkLost();
-      monitor_->ReportDeviceLost(exec);
-      last_error = "shard " + std::to_string(exec) + " lost";
-      continue;
-    }
-    FrontierExchange exchange(*partition_, exec, monitor_.get(),
-                              options_.max_hedged_exchanges);
-    core::HopObserverGuard observer_guard(exchange);
-    const int64_t stuck_before =
-        devices_[static_cast<size_t>(exec)]->default_stream().counters().stuck_kernels;
+  // Walk the shard's replica chain in placement order (primary first),
+  // moving past a replica that fails transiently. Every replica binds the
+  // full graph and SampleSeeded is pure, so where the sample lands never
+  // changes what it returns — failover is invisible in the outputs and
+  // visible only in the per-device timelines and the failover counter. The
+  // chain order is a pure function of the partition, so a seeded FaultPlan
+  // replays identical decisions.
+  std::vector<core::Value> outputs;
+  std::vector<HopRecord> hops_taken;
+  std::string last_transient;
+  Placement placed;
+  for (int first = 0; first < options_.num_replicas; first = placed.replica + 1) {
+    int64_t stuck_before = 0;
     try {
-      std::vector<core::Value> outputs =
-          sessions_[static_cast<size_t>(exec)]->SampleSeeded(frontier, seed);
-      monitor_->ReportSuccess(exec);
-      if (devices_[static_cast<size_t>(exec)]->lost()) {
-        devices_[static_cast<size_t>(exec)]->Revive();  // probe made it through
-      }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ExchangeStats& stats = exchange_[static_cast<size_t>(shard)];
-        stats.Add(exchange.hops());
-        if (r > 0) {
-          stats.failovers += 1;
-        }
-      }
-      if (hops != nullptr) {
-        *hops = exchange.hops();
-      }
-      return outputs;
+      RunOnReplicaChain(
+          *partition_, shard, first, *monitor_, devices_,
+          [&](int exec) {
+            FrontierExchange exchange(*partition_, exec, monitor_.get(),
+                                      options_.max_hedged_exchanges);
+            core::HopObserverGuard observer_guard(exchange);
+            stuck_before = counters(exec).stuck_kernels;
+            outputs = sessions_[static_cast<size_t>(exec)]->SampleSeeded(frontier, seed);
+            hops_taken = exchange.hops();
+          },
+          &placed);
     } catch (const fault::TransientError& e) {
       // Injected kernel faults, watchdog-cancelled batches, and exchange
       // timeouts past the hedge budget all land here; feed the monitor and
       // try the next replica.
-      const int64_t stuck_after =
-          devices_[static_cast<size_t>(exec)]->default_stream().counters().stuck_kernels;
-      if (stuck_after > stuck_before) {
-        monitor_->ReportStuckKernels(exec, stuck_after - stuck_before);
+      const int64_t stuck = counters(placed.device).stuck_kernels - stuck_before;
+      if (stuck > 0) {
+        monitor_->ReportStuckKernels(placed.device, stuck);
       } else {
-        monitor_->ReportTransient(exec);
+        monitor_->ReportTransient(placed.device);
       }
-      transient_failure = true;
-      last_error = e.what();
+      last_transient = e.what();
       continue;
     }
+    if (placed.device < 0) {
+      break;  // no replica left that admits work
+    }
+    {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      ExchangeStats& stats = exchange_[static_cast<size_t>(shard)];
+      stats.Add(hops_taken);
+      if (placed.replica > 0) {
+        stats.failovers += 1;
+      }
+    }
+    if (hops != nullptr) {
+      *hops = std::move(hops_taken);
+    }
+    return outputs;
   }
-  if (transient_failure) {
+  if (!last_transient.empty()) {
     // At least one replica answered (transiently); the caller's retry
     // ladder may re-resolve placement and succeed.
     throw fault::TransientError("shard " + std::to_string(shard) +
-                                " failed on every admitted replica: " + last_error);
+                                " failed on every admitted replica: " + last_transient);
   }
-  throw fault::ShardUnavailableError(
-      "shard " + std::to_string(shard) + " has no live replica" +
-      (last_error.empty() ? "" : " (" + last_error + ")"));
+  throw fault::ShardUnavailableError("shard " + std::to_string(shard) + " has no live replica");
 }
 
 std::vector<core::Value> ShardGroup::SampleRouted(const tensor::IdArray& frontier, uint64_t seed,

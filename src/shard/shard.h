@@ -21,11 +21,13 @@
 //
 // High availability (gs::ha): with ShardGroupOptions::num_replicas > 1 the
 // partition mirrors each shard's segment onto replica devices (chained
-// declustering) and Sample() walks the replica chain — primary first, then
-// each replica in placement order — skipping devices the shared
-// HealthMonitor has declared dead. Shard-level fault sites drive the
-// monitor: shard.lost kills a device mid-placement (work fails over to the
-// next replica, bit-identically, since every session binds the full graph),
+// declustering). RunOnReplicaChain is the one placement policy: it walks a
+// shard's replica chain — primary first, then each replica in placement
+// order — skipping devices the shared HealthMonitor has declared dead, and
+// both ShardGroup::Sample and the sharded serving::Server place work
+// through it. Shard-level fault sites drive the monitor: shard.lost kills a
+// device mid-placement (work fails over to the next replica,
+// bit-identically, since every session binds the full graph),
 // exchange.timeout triggers bounded hedged exchanges before unwinding as a
 // Transient error, and shard.slow inflates exchange time, flagging the
 // shard suspect. Failover order is a pure function of (partition, monitor
@@ -34,6 +36,7 @@
 #ifndef GSAMPLER_SHARD_SHARD_H_
 #define GSAMPLER_SHARD_SHARD_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -114,6 +117,38 @@ class FrontierExchange : public core::HopObserver {
   int64_t hedges_ = 0;
   std::vector<HopRecord> hops_;
 };
+
+// One simulated device per shard, indexed by device id.
+using Devices = std::vector<std::unique_ptr<device::Device>>;
+
+// Where RunOnReplicaChain placed a unit of work.
+struct Placement {
+  int replica = -1;  // index on the shard's replica chain (0 = primary)
+  int device = -1;   // device that ran the work; -1 when no replica admitted it
+};
+
+// Runs `work` with the calling thread pinned to devices[device] (its
+// device::ThreadDeviceGuard and fault::ShardScope). With a `monitor`, a
+// `work` that returns is recorded as the device's success: ReportSuccess,
+// and Revive for a lost device that a backoff probe got through to. An
+// exception from `work` propagates unrecorded.
+void RunOnDevice(int device, const Devices& devices, ha::HealthMonitor* monitor,
+                 const std::function<void()>& work);
+
+// Replica-chain placement, the failover policy of ShardGroup::Sample and the
+// sharded serving::Server. Walks `shard`'s replica chain in placement order
+// from replica `first`. A device the monitor does not admit (AdmitWork:
+// dead and not due a backoff probe) is skipped; an admitted one is probed
+// for shard.lost under its ShardScope, and a firing probe marks the device
+// lost, reports it (ReportDeviceLost) and moves on. The first survivor runs
+// `work(device)` through RunOnDevice, which records its success with the
+// monitor. `placement` names the survivor before
+// `work` starts, so a caller catching an exception from `work` knows which
+// device failed; it stays {-1, -1}, and `work` never runs, when no replica
+// admits work.
+void RunOnReplicaChain(const graph::Partition& partition, int shard, int first,
+                       ha::HealthMonitor& monitor, const Devices& devices,
+                       const std::function<void(int device)>& work, Placement* placement);
 
 struct ShardGroupOptions {
   int num_shards = 2;
@@ -231,7 +266,7 @@ class ShardGroup {
   std::shared_ptr<core::CompiledPlan> plan_;
   std::unique_ptr<graph::Partition> partition_;
   std::unique_ptr<ha::HealthMonitor> monitor_;
-  std::vector<std::unique_ptr<device::Device>> devices_;
+  Devices devices_;
   // Declared after devices_: each shard's cache holds backing pages on that
   // shard's allocator, so the caches must be destroyed first.
   std::unique_ptr<feature::FeatureStore> feature_store_;

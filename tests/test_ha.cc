@@ -185,7 +185,7 @@ TEST(HealthMonitorTest, DeviceLostProbesWithCounterSpaceBackoff) {
   // Window 1 (backoff 2): attempt 1 denied, attempt 2 admits the probe.
   EXPECT_FALSE(monitor.AdmitWork(0));
   EXPECT_TRUE(monitor.AdmitWork(0));
-  monitor.ReportProbeFailure(0);  // window doubles to 4: next probe at attempt 6
+  monitor.ReportDeviceLost(0);  // failed probe: window doubles to 4, next probe at attempt 6
   EXPECT_FALSE(monitor.AdmitWork(0));
   EXPECT_FALSE(monitor.AdmitWork(0));
   EXPECT_FALSE(monitor.AdmitWork(0));
@@ -442,6 +442,53 @@ TEST(HaServing, DegradedPartialResponsesCarryCoverageFractions) {
   ASSERT_NE(server.health_monitor(), nullptr);
   EXPECT_FALSE(server.health_monitor()->Alive(1));
   server.Stop();
+}
+
+// A degraded group runs through the same recovery ladder as any other: a
+// transient on its fallback device is retried with backoff, counted, and
+// reported to the health monitor, the retried partial is bit-identical to
+// one served without the transient, and its cross-shard exchange traffic
+// is counted.
+TEST(HaServing, DegradedTransientGoesThroughTheRecoveryLadder) {
+  const graph::Graph g = HaGraph();
+  const graph::Partition partition = graph::Partitioner::EdgeCut(g, 2);
+  const std::vector<int32_t>& mine = partition.LocalNodes(1);
+  const std::vector<int32_t>& other = partition.LocalNodes(0);
+  const IdArray seeds = Seeds({mine[0], mine[1], mine[2], other[0]});
+
+  auto serve_once = [&](const std::string& faults) {
+    serving::ServerOptions options;
+    options.num_workers = 1;
+    options.num_shards = 2;
+    options.num_replicas = 1;
+    auto server = std::make_unique<serving::Server>(options);
+    server->RegisterEndpoint(serving::MakeEndpoint("GraphSAGE", "small", g));
+    server->Start();
+    fault::FaultScope scope(fault::FaultPlan::Parse(faults, 5));
+    serving::SampleResponse response = server->Submit(MakeRequest(seeds, 7)).get();
+    return std::make_pair(std::move(server), std::move(response));
+  };
+
+  auto [clean_server, clean] = serve_once("shard1:shard.lost:after=0");
+  auto [faulted_server, faulted] =
+      serve_once("shard1:shard.lost:after=0;shard0:kernel.transient:occ=0");
+  ASSERT_EQ(clean.status, serving::Status::kDegraded) << clean.error;
+  EXPECT_EQ(faulted.status, serving::Status::kDegraded) << faulted.error;
+  EXPECT_DOUBLE_EQ(faulted.coverage, 0.25);
+  EXPECT_FALSE(faulted.outputs.empty());
+  ExpectBitIdentical(faulted.outputs, clean.outputs, "degraded partial after a transient");
+
+  const serving::ServerStats stats = faulted_server->stats();
+  EXPECT_EQ(stats.transient_retries, 1);
+  EXPECT_EQ(stats.partial, 1);
+  EXPECT_EQ(stats.failed, 0);
+  EXPECT_GT(stats.exchange_bytes, 0);
+  ASSERT_NE(faulted_server->health_monitor(), nullptr);
+  const HealthCounters fallback = faulted_server->health_monitor()->counters(0);
+  EXPECT_EQ(fallback.transients, 1);
+  EXPECT_GE(fallback.successes, 1);
+  clean_server->Stop();
+  faulted_server->Stop();
 }
 
 // r=2: the same kill is invisible to clients — the replica serves the dead

@@ -42,8 +42,9 @@
 #            soak under TSan; a fuzz requiring every maintained epoch to
 #            sample like a from-scratch reload.
 #   asan     sessions and pinned snapshots dropped while executions may hold
-#            them (serving, dynamic, plan, soak), the fused kernels and the
-#            oracle, under ASan + UBSan.
+#            them (serving, dynamic, plan, soak), the fused kernels, the
+#            oracle, and the failover, degraded and retry paths (ha, shard,
+#            chaos soak), under ASan + UBSan.
 #   chaos    the gs::fault suites (test_fault + the chaos soak) under TSan.
 #
 # Exits non-zero on the first failing step.
@@ -62,7 +63,7 @@ TIERS=(
   "feature | feature     | thread            | test_feature                      | --seeds 100 --features             |"
   "ha      | ha          | thread            | test_ha                           | --seeds 60 --shards 2 --kill-shard |"
   "dynamic | dynamic     | thread            | test_dyn                          | --seeds 100 --mutate               |"
-  "asan    |             | address,undefined | test_serving test_dyn test_plan test_serving_soak test_fused test_oracle | |"
+  "asan    |             | address,undefined | test_serving test_dyn test_plan test_serving_soak test_fused test_oracle test_ha test_shard test_fault_soak | |"
   "chaos   |             | thread            | test_fault test_fault_soak        |                                    |"
 )
 
