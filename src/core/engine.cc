@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "device/device.h"
+#include "fault/status.h"
 #include "sparse/batch.h"
 
 namespace gs::core {
@@ -74,8 +75,8 @@ void SamplerSession::Precompute() {
   }
   try {
     precomputed_ = executor_.RunInvariant(bindings_);
-  } catch (const Error& e) {
-    // A named graph or tensor binding is still missing; retry on first use.
+  } catch (const MissingBindingError& e) {
+    // Retry once the binding arrives (BindGraph / BindTensor) or on first use.
     GS_LOG(Debug) << "pre-computation deferred: " << e.what();
     precomputed_.clear();
     needs_precompute_ = true;
@@ -217,33 +218,24 @@ void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
     return;
   }
 
-  // Pre-split every output once — id parts and per-segment column ranges
-  // are computed in a single pass over each output, so the whole scatter is
-  // linear in the super-batch instead of per-member.
-  struct OutputSplit {
-    std::vector<tensor::IdArray> id_parts;                // kIds
-    std::vector<std::pair<int64_t, int64_t>> col_ranges;  // kMatrix
-  };
-  std::vector<OutputSplit> splits(outputs.size());
-  for (size_t o = 0; o < outputs.size(); ++o) {
-    Value& v = outputs[o];
+  // One split per output for the whole group: a single kernel per matrix
+  // output and a host pass per id output, whatever the segment count.
+  std::vector<std::vector<Value>> batch_outputs(static_cast<size_t>(segments));
+  for (const Value& v : outputs) {
     switch (v.kind) {
-      case ValueKind::kIds:
-        splits[o].id_parts = SplitLabeledIds(v.ids, n, segments);
-        break;
-      case ValueKind::kMatrix: {
-        // Column segments are contiguous (labeled ids ascend per segment);
-        // one sweep over the labeled col ids yields every batch's range.
-        const sparse::IdArray& col_ids = v.matrix.col_ids();
-        auto& ranges = splits[o].col_ranges;
-        ranges.assign(static_cast<size_t>(segments), {0, 0});
-        int64_t cursor = 0;
+      case ValueKind::kIds: {
+        std::vector<tensor::IdArray> parts = SplitLabeledIds(v.ids, n, segments);
         for (int64_t b = 0; b < segments; ++b) {
-          const int64_t begin = cursor;
-          while (cursor < col_ids.size() && col_ids[cursor] / n == b) {
-            ++cursor;
-          }
-          ranges[static_cast<size_t>(b)] = {begin, cursor};
+          batch_outputs[static_cast<size_t>(b)].push_back(
+              Value::OfIds(std::move(parts[static_cast<size_t>(b)])));
+        }
+        break;
+      }
+      case ValueKind::kMatrix: {
+        std::vector<sparse::Matrix> parts = sparse::SplitSegments(v.matrix, segments, n);
+        for (int64_t b = 0; b < segments; ++b) {
+          batch_outputs[static_cast<size_t>(b)].push_back(
+              Value::OfMatrix(std::move(parts[static_cast<size_t>(b)])));
         }
         break;
       }
@@ -251,39 +243,8 @@ void SamplerSession::ExecuteLabeled(const std::vector<tensor::IdArray>& group,
         GS_CHECK(false) << "super-batch programs cannot return raw tensors";
     }
   }
-
   for (int64_t b = 0; b < segments; ++b) {
-    std::vector<Value> batch_outputs;
-    batch_outputs.reserve(outputs.size());
-    for (size_t o = 0; o < outputs.size(); ++o) {
-      Value& v = outputs[o];
-      switch (v.kind) {
-        case ValueKind::kIds:
-          batch_outputs.push_back(Value::OfIds(splits[o].id_parts[static_cast<size_t>(b)]));
-          break;
-        case ValueKind::kMatrix: {
-          const auto [begin, end] = splits[o].col_ranges[static_cast<size_t>(b)];
-          sparse::Matrix part = sparse::SliceColumnRange(v.matrix, begin, end);
-          // When rows still span the full labeled space, member b's rows
-          // live in [b*N, (b+1)*N); windowed compaction keeps the scatter
-          // independent of how many segments share that row dimension.
-          // Layer-wise programs compact rows mid-program, leaving a small
-          // row space where the generic kernel is already cheap.
-          if (!v.matrix.rows_compact() && v.matrix.num_rows() == segments * n) {
-            part = sparse::CompactRowsInWindow(part, b * n, (b + 1) * n);
-          } else {
-            part = sparse::CompactRows(part);
-          }
-          part.SetRowIds(sparse::MapIdsModulo(part.row_ids(), n));
-          part.SetColIds(sparse::MapIdsModulo(part.col_ids(), n));
-          batch_outputs.push_back(Value::OfMatrix(std::move(part)));
-          break;
-        }
-        case ValueKind::kTensor:
-          GS_CHECK(false) << "unreachable";
-      }
-    }
-    callback(first_index + b, batch_outputs);
+    callback(first_index + b, batch_outputs[static_cast<size_t>(b)]);
   }
 }
 
@@ -406,6 +367,8 @@ int SamplerSession::AutoTuneSuperBatch(const std::vector<tensor::IdArray>& batch
       const int64_t t_before = stream.counters().virtual_ns;
       try {
         RunSuperBatch(group, 0, nullptr);
+      } catch (const fault::TransientError&) {
+        throw;  // the recovery ladder retries it; it says nothing about size b
       } catch (const Error& e) {
         GS_LOG(Warning) << "super-batch " << b << " failed: " << e.what();
         failed = true;

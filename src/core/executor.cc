@@ -353,8 +353,9 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
         return Value::OfMatrix(*bindings.graph);
       }
       auto it = bindings.named_graphs.find(node.attrs.name);
-      GS_CHECK(it != bindings.named_graphs.end() && it->second != nullptr)
-          << "missing graph binding '" << node.attrs.name << "'";
+      if (it == bindings.named_graphs.end() || it->second == nullptr) {
+        throw MissingBindingError("missing graph binding '" + node.attrs.name + "'");
+      }
       return Value::OfMatrix(*it->second);
     }
     case OpKind::kFrontierInput:
@@ -362,8 +363,9 @@ Value Executor::Evaluate(const Node& node, std::vector<Value>& values,
       return Value::OfIds(bindings.frontier);
     case OpKind::kTensorInput: {
       auto it = bindings.tensors.find(node.attrs.name);
-      GS_CHECK(it != bindings.tensors.end())
-          << "missing tensor binding '" << node.attrs.name << "'";
+      if (it == bindings.tensors.end()) {
+        throw MissingBindingError("missing tensor binding '" + node.attrs.name + "'");
+      }
       return Value::OfTensor(it->second);
     }
 

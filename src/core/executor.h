@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "core/ir.h"
 #include "sparse/kernels.h"
@@ -56,6 +57,15 @@ struct Bindings {
   // Additional relation matrices for heterogeneous programs (Section 4.5:
   // each edge type is its own sparse matrix); keyed by GraphNamed() name.
   std::map<std::string, const sparse::Matrix*> named_graphs;
+};
+
+// Thrown when a program input names a graph or tensor binding that the
+// caller has not provided. A session defers pre-computation on this error
+// only, until BindGraph / BindTensor supplies the binding; every other error
+// propagates.
+class MissingBindingError : public Error {
+ public:
+  explicit MissingBindingError(const std::string& what) : Error(what) {}
 };
 
 enum class LayoutMode {

@@ -321,38 +321,87 @@ Matrix SegmentedIndividualSample(const Matrix& m, int64_t k, const ValueArray& p
   return result;
 }
 
-Matrix SliceColumnRange(const Matrix& m, int64_t begin, int64_t end) {
-  GS_CHECK(begin >= 0 && begin <= end && end <= m.num_cols());
+std::vector<Matrix> SplitSegments(const Matrix& m, int64_t num_segments, int64_t num_nodes) {
+  GS_CHECK_GT(num_segments, 0);
+  GS_CHECK_GT(num_nodes, 0);
   const Compressed& csc = m.Csc();
   device::KernelScope kernel(CurrentStream());
   const bool weighted = csc.values.defined();
-  const int64_t t = end - begin;
-  const int64_t e_begin = csc.indptr[begin];
-  const int64_t e_end = csc.indptr[end];
-  const int64_t out_nnz = e_end - e_begin;
 
-  Compressed sub;
-  sub.indptr = OffsetArray::Empty(t + 1);
-  for (int64_t i = 0; i <= t; ++i) {
-    sub.indptr[i] = csc.indptr[begin + i] - e_begin;
+  // Labels ascend by segment, so one sweep over the col ids yields every
+  // segment's column range [col_begin[b], col_begin[b + 1]).
+  std::vector<int64_t> col_begin(static_cast<size_t>(num_segments) + 1, 0);
+  int64_t cursor = 0;
+  for (int64_t b = 0; b < num_segments; ++b) {
+    col_begin[static_cast<size_t>(b)] = cursor;
+    while (cursor < m.num_cols() &&
+           Decode(m.GlobalColId(static_cast<int32_t>(cursor)), num_nodes).segment == b) {
+      ++cursor;
+    }
   }
-  sub.indices = IdArray::Empty(out_nnz);
-  std::copy_n(csc.indices.data() + e_begin, out_nnz, sub.indices.data());
-  if (weighted) {
-    sub.values = ValueArray::Empty(out_nnz);
-    std::copy_n(csc.values.data() + e_begin, out_nnz, sub.values.data());
+  col_begin[static_cast<size_t>(num_segments)] = cursor;
+  GS_CHECK_EQ(cursor, m.num_cols()) << "col labels must ascend by segment";
+
+  // Compacted space: row r becomes row local_row[r] of its segment's part.
+  const bool full_space = !m.has_row_ids() && m.num_rows() == num_segments * num_nodes;
+  std::vector<int32_t> local_row;
+  std::vector<std::vector<int32_t>> row_nodes;
+  if (!full_space) {
+    local_row.resize(static_cast<size_t>(m.num_rows()));
+    row_nodes.resize(static_cast<size_t>(num_segments));
+    for (int64_t r = 0; r < m.num_rows(); ++r) {
+      const Labeled lr = Decode(m.GlobalRowId(static_cast<int32_t>(r)), num_nodes);
+      GS_CHECK_LT(lr.segment, num_segments);
+      std::vector<int32_t>& nodes = row_nodes[static_cast<size_t>(lr.segment)];
+      local_row[static_cast<size_t>(r)] = static_cast<int32_t>(nodes.size());
+      nodes.push_back(lr.node);
+    }
   }
 
-  Matrix out = Matrix::FromCsc(m.num_rows(), t, std::move(sub));
-  out.SetRowIds(m.row_ids());
-  out.SetRowsCompact(false);
-  if (m.has_col_ids()) {
-    IdArray col_ids = IdArray::Empty(t);
-    std::copy_n(m.col_ids().data() + begin, t, col_ids.data());
-    out.SetColIds(std::move(col_ids));
+  std::vector<Matrix> parts;
+  parts.reserve(static_cast<size_t>(num_segments));
+  for (int64_t b = 0; b < num_segments; ++b) {
+    const int64_t c_begin = col_begin[static_cast<size_t>(b)];
+    const int64_t cols = col_begin[static_cast<size_t>(b) + 1] - c_begin;
+    const int64_t e_begin = csc.indptr[c_begin];
+    const int64_t nnz = csc.indptr[c_begin + cols] - e_begin;
+
+    Compressed sub;
+    sub.indptr = OffsetArray::Empty(cols + 1);
+    for (int64_t i = 0; i <= cols; ++i) {
+      sub.indptr[i] = csc.indptr[c_begin + i] - e_begin;
+    }
+    sub.indices = IdArray::Empty(nnz);
+    for (int64_t e = 0; e < nnz; ++e) {
+      const int32_t r = csc.indices[e_begin + e];
+      GS_INTERNAL(m.GlobalRowId(r) / num_nodes == b) << "edge crosses segments";
+      sub.indices[e] = full_space ? static_cast<int32_t>(r - b * num_nodes)
+                                  : local_row[static_cast<size_t>(r)];
+    }
+    if (weighted) {
+      sub.values = ValueArray::Empty(nnz);
+      std::copy_n(csc.values.data() + e_begin, nnz, sub.values.data());
+    }
+    IdArray col_ids = IdArray::Empty(cols);
+    for (int64_t i = 0; i < cols; ++i) {
+      col_ids[i] = Decode(m.GlobalColId(static_cast<int32_t>(c_begin + i)), num_nodes).node;
+    }
+
+    if (full_space) {
+      parts.push_back(Matrix::FromCsc(num_nodes, cols, std::move(sub)));
+    } else {
+      IdArray row_ids = IdArray::FromVector(row_nodes[static_cast<size_t>(b)]);
+      parts.push_back(Matrix::FromCsc(row_ids.size(), cols, std::move(sub)));
+      parts.back().SetRowIds(std::move(row_ids));
+      parts.back().SetRowsCompact(m.rows_compact());
+    }
+    parts.back().SetColIds(std::move(col_ids));
   }
-  kernel.Finish({.parallel_items = t, .hbm_bytes = 2 * out_nnz * int64_t{8}});
-  return out;
+  kernel.Finish({.parallel_items = std::max<int64_t>(m.nnz() + m.num_cols(), 1),
+                 .hbm_bytes = 2 * m.nnz() * int64_t{weighted ? 8 : 4} +
+                              2 * (m.num_cols() + (full_space ? 0 : m.num_rows())) *
+                                  int64_t{4}});
+  return parts;
 }
 
 IdArray MapIdsModulo(const IdArray& ids, int64_t n) {

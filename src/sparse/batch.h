@@ -5,12 +5,16 @@
 // id space: a node v of mini-batch b is labeled `b * num_nodes + v`. The
 // segmented extract/select kernels below understand labeled ids; compute
 // operators need no changes because the extracted matrices are block
-// diagonal by construction (edges never cross id spaces).
+// diagonal by construction (edges never cross id spaces). SplitSegments
+// hands each mini-batch its part of a result with one kernel per output for
+// the whole super-batch, so the launches a super-batch saves are not spent
+// again per member on the way out.
 
 #ifndef GSAMPLER_SPARSE_BATCH_H_
 #define GSAMPLER_SPARSE_BATCH_H_
 
 #include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "sparse/matrix.h"
@@ -55,10 +59,21 @@ Matrix SegmentedCollectiveSample(const Matrix& m, int64_t k, const ValueArray& r
 Matrix SegmentedIndividualSample(const Matrix& m, int64_t k, const ValueArray& probs,
                                  int64_t num_nodes, std::span<Rng> segment_rngs);
 
-// Slices a contiguous column range [begin, end) preserving the row space —
-// used to split a super-batch result back into per-batch samples. Requires
-// CSC.
-Matrix SliceColumnRange(const Matrix& m, int64_t begin, int64_t end);
+// Splits a super-batch result back into its members in one kernel: part b
+// holds the columns labeled into segment b, in order, with col ids mapped
+// back to original node ids (label % num_nodes). Requires CSC (converted if
+// absent) and col labels that ascend by segment, as the segmented kernels
+// emit them. The row space decides each part's shape:
+//  - full labeled space (no row id map, num_rows == num_segments *
+//    num_nodes; node-wise programs): part b has num_nodes rows, row r being
+//    label b * num_nodes + r, and no row id map — the shape solo sampling
+//    emits. Nothing per part is sized to num_nodes.
+//  - otherwise (compacted rows with labeled row ids; layer-wise programs):
+//    part b keeps the rows labeled into segment b, in order, renumbered
+//    through one table shared by every segment; its row ids are mapped back
+//    to original node ids and it keeps m's rows_compact flag.
+// A segment with no columns yields an empty part (0 columns, no edges).
+std::vector<Matrix> SplitSegments(const Matrix& m, int64_t num_segments, int64_t num_nodes);
 
 // out[i] = ids[i] % n (labeled id -> original node id); negatives pass
 // through.

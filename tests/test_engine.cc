@@ -347,6 +347,123 @@ TEST(BatchProducer, FinalPartialBatchMatchesSoloSampling) {
   EXPECT_EQ(b, 4u);
 }
 
+algorithms::AlgorithmProgram NodeOrLayerWise(const std::string& name, const graph::Graph& g) {
+  return name == "GraphSAGE" ? algorithms::GraphSage(g, {.fanouts = {3, 2}})
+                             : algorithms::Ladies(g, {.num_layers = 2, .layer_width = 12});
+}
+
+class GroupedVsSolo : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GroupedVsSolo, EveryGroupedBatchHasTheSoloShape) {
+  // 44 seeds at batch size 8 in super-batches of 4: one full group, then a
+  // final partial group of two batches whose last batch is partial (4
+  // seeds). Each grouped batch must equal solo sampling in edges and shape:
+  // the full labeled space splits to solo's n rows, the compacted space to
+  // solo's compacted rows.
+  graph::Graph g = gs::testing::SmallRmat(400, 4000, 55, true);
+  SamplerOptions grouped_opts;
+  grouped_opts.super_batch = 4;
+  algorithms::AlgorithmProgram ap1 = NodeOrLayerWise(GetParam(), g);
+  CompiledSampler grouped(std::move(ap1.program), g, std::move(ap1.tensors), grouped_opts);
+  SamplerOptions solo_opts;
+  solo_opts.super_batch = 1;
+  algorithms::AlgorithmProgram ap2 = NodeOrLayerWise(GetParam(), g);
+  CompiledSampler solo(std::move(ap2.program), g, std::move(ap2.tensors), solo_opts);
+
+  std::vector<std::vector<Value>> grouped_batches;
+  grouped.SampleEpoch(Iota(44), 8, [&](int64_t index, std::vector<Value>& out) {
+    EXPECT_EQ(index, static_cast<int64_t>(grouped_batches.size()));
+    grouped_batches.push_back(out);
+  });
+  ASSERT_EQ(grouped_batches.size(), 6u);
+
+  size_t b = 0;
+  int matrices = 0;
+  solo.SampleEpoch(Iota(44), 8, [&](int64_t, std::vector<Value>& want) {
+    ASSERT_LT(b, grouped_batches.size());
+    const std::vector<Value>& got = grouped_batches[b++];
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t o = 0; o < want.size(); ++o) {
+      ASSERT_EQ(got[o].kind, want[o].kind);
+      if (want[o].kind == ValueKind::kIds) {
+        EXPECT_EQ(got[o].ids.ToVector(), want[o].ids.ToVector());
+        continue;
+      }
+      ASSERT_EQ(want[o].kind, ValueKind::kMatrix);
+      const sparse::Matrix& m = got[o].matrix;
+      const sparse::Matrix& ref = want[o].matrix;
+      EXPECT_EQ(gs::testing::EdgeSet(m), gs::testing::EdgeSet(ref));
+      EXPECT_EQ(m.num_rows(), ref.num_rows());
+      EXPECT_EQ(m.num_cols(), ref.num_cols());
+      EXPECT_EQ(m.has_row_ids(), ref.has_row_ids());
+      EXPECT_EQ(m.has_col_ids(), ref.has_col_ids());
+      if (m.has_row_ids() && ref.has_row_ids()) {
+        EXPECT_EQ(m.row_ids().ToVector(), ref.row_ids().ToVector());
+      }
+      ++matrices;
+    }
+  });
+  EXPECT_EQ(b, 6u);
+  EXPECT_EQ(matrices, 6 * 2);
+}
+
+// Super-batching must pay in launches: a super-batch launches fewer kernels
+// per batch than solo sampling, because its results leave through one split
+// per output.
+TEST_P(GroupedVsSolo, SuperBatchLaunchesFewerKernelsPerBatch) {
+  graph::Graph g = gs::testing::SmallRmat(400, 4000, 55, true);
+  auto kernels_per_batch = [&](int super_batch) {
+    algorithms::AlgorithmProgram ap = NodeOrLayerWise(GetParam(), g);
+    SamplerOptions opts;
+    opts.super_batch = super_batch;
+    CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+    sampler.SampleEpoch(Iota(128), 8);  // calibration and lazy formats
+    device::Stream& stream = device::Current().stream();
+    const int64_t before = stream.counters().kernels_launched;
+    sampler.SampleEpoch(Iota(128), 8);
+    return static_cast<double>(stream.counters().kernels_launched - before) / 16.0;
+  };
+  const double solo = kernels_per_batch(1);
+  const double grouped = kernels_per_batch(8);
+  EXPECT_LT(grouped, solo) << "super_batch 8: " << grouped << " kernels/batch, solo: " << solo;
+}
+
+TEST_P(GroupedVsSolo, SplitLaunchesOneKernelPerMatrixOutput) {
+  graph::Graph g = gs::testing::SmallRmat(400, 4000, 55, true);
+  algorithms::AlgorithmProgram ap = NodeOrLayerWise(GetParam(), g);
+  SamplerOptions opts;
+  opts.super_batch = 1;
+  CompiledSampler sampler(std::move(ap.program), g, std::move(ap.tensors), opts);
+  sampler.Warmup(Iota(8));
+  device::Stream& stream = device::Current().stream();
+  for (int segments : {1, 3, 8}) {
+    std::vector<IdArray> group;
+    std::vector<uint64_t> seeds;
+    for (int b = 0; b < segments; ++b) {
+      group.push_back(Iota(8, 8 * b));
+      seeds.push_back(static_cast<uint64_t>(b));
+    }
+    int64_t before = stream.counters().kernels_launched;
+    sampler.SampleGrouped(group, seeds, nullptr);
+    const int64_t run_only = stream.counters().kernels_launched - before;
+    int matrix_outputs = 0;
+    before = stream.counters().kernels_launched;
+    sampler.SampleGrouped(group, seeds, [&](int64_t index, std::vector<Value>& out) {
+      if (index == 0) {
+        for (const Value& v : out) {
+          matrix_outputs += v.kind == ValueKind::kMatrix ? 1 : 0;
+        }
+      }
+    });
+    const int64_t with_split = stream.counters().kernels_launched - before;
+    EXPECT_EQ(matrix_outputs, 2);
+    EXPECT_EQ(with_split - run_only, matrix_outputs) << segments << " segments";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(NodeAndLayerWise, GroupedVsSolo,
+                         ::testing::Values("GraphSAGE", "LADIES"));
+
 TEST(BatchProducer, SeedSetSmallerThanBatchSize) {
   graph::Graph g = gs::testing::SmallRmat();
   algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {3}});

@@ -356,6 +356,76 @@ TEST(KernelFault, TransientThrowsFromLaunchSite) {
   EXPECT_EQ(stream.counters().kernels_launched, 1);
 }
 
+// Building a serving session over a compiled plan (pre-computation, bind,
+// calibration, Warmup) under early kernel transients either succeeds or
+// surfaces the TransientError for the serving ladder to retry: no build
+// step may consume the fault or turn it into a different error.
+TEST(KernelFault, SessionBuildSurfacesTransients) {
+  graph::Graph g = gs::testing::SmallRmat(250, 2500, 33, true);
+  for (const char* spec : {"kernel.transient:occ=0", "kernel.transient:occ=0,1"}) {
+    for (const std::string& name : algorithms::AllAlgorithmNames()) {
+      SCOPED_TRACE(std::string(spec) + " " + name);
+      algorithms::AlgorithmProgram ap = algorithms::MakeAlgorithm(name, g);
+      core::SamplerOptions options;
+      options.super_batch = 1;
+      auto plan = std::make_shared<core::CompiledPlan>(std::move(ap.program), options, name);
+      FaultScope scope(FaultPlan::Parse(spec, 7));
+      try {
+        core::SamplerSession session(std::move(plan), g, std::move(ap.tensors));
+        if (name == "HetGNN") {
+          session.BindGraph("rel0", &g.adj());
+          session.BindGraph("rel1", &g.adj());
+        }
+        session.Warmup(core::WarmupFrontier(g));
+      } catch (const TransientError&) {
+        // Surfaced: the ladder retries the build.
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "session build failed with a non-transient error: " << e.what();
+      }
+      EXPECT_GT(scope.injector().counters(Site::kKernelTransient).injected, 0);
+    }
+  }
+}
+
+// A transient inside the super-batch grid search reaches the caller: it says
+// nothing about whether a size fits, so the tuner must not read it as "too
+// big" and cap its pick.
+TEST(KernelFault, SuperBatchTunerRethrowsTransients) {
+  graph::Graph g = gs::testing::SmallRmat(250, 2500, 33, true);
+  std::vector<int32_t> ids(64);
+  for (int32_t i = 0; i < 64; ++i) {
+    ids[static_cast<size_t>(i)] = i;
+  }
+  const tensor::IdArray seeds = tensor::IdArray::FromVector(ids);
+  auto make_sampler = [&] {
+    algorithms::AlgorithmProgram ap = algorithms::GraphSage(g, {.fanouts = {3, 2}});
+    core::SamplerOptions options;
+    options.super_batch = 0;  // grid search at the first epoch
+    auto sampler = std::make_unique<core::CompiledSampler>(std::move(ap.program), g,
+                                                           std::move(ap.tensors), options);
+    sampler->Warmup(core::WarmupFrontier(g));  // pre-computation and calibration
+    return sampler;
+  };
+
+  // Kernel probes before the grid search's first launch.
+  int64_t before_tuning = 0;
+  {
+    FaultScope scope(FaultPlan::Parse("kernel.transient:occ=1000000000", 7));
+    auto sampler = make_sampler();
+    before_tuning = scope.injector().counters(Site::kKernelTransient).probes;
+    sampler->SampleEpoch(seeds, 8);
+    ASSERT_GT(scope.injector().counters(Site::kKernelTransient).probes, before_tuning);
+  }
+
+  FaultScope scope(
+      FaultPlan::Parse("kernel.transient:occ=" + std::to_string(before_tuning), 7));
+  auto sampler = make_sampler();
+  ASSERT_EQ(scope.injector().counters(Site::kKernelTransient).injected, 0);
+  EXPECT_THROW(sampler->SampleEpoch(seeds, 8), TransientError);
+  EXPECT_EQ(scope.injector().counters(Site::kKernelTransient).injected, 1);
+  EXPECT_EQ(sampler->effective_super_batch(), 0) << "no size may be picked from a fault";
+}
+
 TEST(KernelFault, StuckInflationTripsWatchdog) {
   Stream stream(device::V100Sim());
   ASSERT_GT(stream.profile().watchdog_multiple, 0.0);

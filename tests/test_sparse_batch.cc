@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "common/error.h"
 #include "sparse/batch.h"
 #include "sparse/kernels.h"
@@ -31,27 +34,16 @@ TEST(SegmentedSliceColumns, MatchesPerBatchSlices) {
   EXPECT_EQ(seg.num_rows(), 2 * n);
   EXPECT_EQ(seg.num_cols(), 5);
 
-  // Split back and compare with plain slices (labels mod n).
-  Matrix part0 = SliceColumnRange(seg, 0, 3);
-  Matrix ref0 = SliceColumns(g.adj(), IdArray::FromVector(batch0));
-  auto strip = [&](const Matrix& m) {
-    std::map<std::pair<int32_t, int32_t>, float> out;
-    for (const auto& [edge, w] : EdgeSet(m)) {
-      out[{static_cast<int32_t>(edge.first % n), static_cast<int32_t>(edge.second % n)}] = w;
-    }
-    return out;
-  };
-  EXPECT_EQ(strip(part0), EdgeSet(ref0));
-
-  Matrix part1 = SliceColumnRange(seg, 3, 5);
-  Matrix ref1 = SliceColumns(g.adj(), IdArray::FromVector(batch1));
-  EXPECT_EQ(strip(part1), EdgeSet(ref1));
-
   // Segment 1's rows are all labeled into its own id space.
-  for (const auto& [edge, w] : EdgeSet(part1)) {
-    EXPECT_GE(edge.first, n);
-    (void)w;
+  const Compressed& csc = seg.Csc();
+  for (int64_t e = csc.indptr[3]; e < csc.indptr[5]; ++e) {
+    EXPECT_GE(csc.indices[e], n);
   }
+  // Split back: each part equals the plain slice of its batch.
+  std::vector<Matrix> parts = SplitSegments(seg, 2, n);
+  ASSERT_EQ(parts.size(), 2u);
+  EXPECT_EQ(EdgeSet(parts[0]), EdgeSet(SliceColumns(g.adj(), IdArray::FromVector(batch0))));
+  EXPECT_EQ(EdgeSet(parts[1]), EdgeSet(SliceColumns(g.adj(), IdArray::FromVector(batch1))));
 }
 
 TEST(SegmentedSliceColumns, RejectsNonBaseMatrix) {
@@ -105,17 +97,116 @@ TEST(SegmentedCollectiveSample, SamplesWithinEachSegment) {
   EXPECT_GT(per_segment[1], 0);
 }
 
-TEST(SliceColumnRange, PreservesMetadata) {
+// Per-segment edge sets of a segmented matrix, in original node ids: the
+// columns labeled into segment b, with row and col labels taken mod n.
+std::vector<std::map<std::pair<int32_t, int32_t>, float>> SegmentEdgeSets(const Matrix& m,
+                                                                         int64_t segments,
+                                                                         int64_t n) {
+  std::vector<std::map<std::pair<int32_t, int32_t>, float>> out(static_cast<size_t>(segments));
+  for (const auto& [edge, w] : EdgeSet(m)) {
+    out[static_cast<size_t>(edge.second / n)][{static_cast<int32_t>(edge.first % n),
+                                               static_cast<int32_t>(edge.second % n)}] = w;
+  }
+  return out;
+}
+
+// Three segments, the middle one empty (no columns, so no edges and, in
+// the compacted space, no rows).
+const std::vector<std::vector<int32_t>> kBatches = {{1, 2, 3, 40}, {}, {2, 5, 77}};
+
+IdArray LabelBatches(int64_t n) {
+  std::vector<int32_t> labeled;
+  for (size_t b = 0; b < kBatches.size(); ++b) {
+    for (int32_t v : kBatches[b]) {
+      labeled.push_back(static_cast<int32_t>(static_cast<int64_t>(b) * n + v));
+    }
+  }
+  return IdArray::FromVector(labeled);
+}
+
+class SplitSegmentsTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SplitSegmentsTest, FullLabeledSpaceMatchesSoloShape) {
+  graph::Graph g = gs::testing::SmallRmat(300, 3000, 9, /*weighted=*/GetParam());
+  const int64_t n = g.num_nodes();
+  const int64_t segments = static_cast<int64_t>(kBatches.size());
+  Matrix seg = SegmentedSliceColumns(g.adj(), LabelBatches(n), segments);
+  ASSERT_FALSE(seg.has_row_ids());
+  ASSERT_EQ(seg.num_rows(), segments * n);
+
+  std::vector<Matrix> parts = SplitSegments(seg, segments, n);
+  ASSERT_EQ(static_cast<int64_t>(parts.size()), segments);
+  const auto want = SegmentEdgeSets(seg, segments, n);
+  for (int64_t b = 0; b < segments; ++b) {
+    const Matrix& part = parts[static_cast<size_t>(b)];
+    const std::vector<int32_t>& batch = kBatches[static_cast<size_t>(b)];
+    // The shape solo extraction emits: n rows, no row id map, the batch's
+    // col ids in order.
+    Matrix solo = SliceColumns(g.adj(), IdArray::FromVector(batch));
+    EXPECT_EQ(part.num_rows(), solo.num_rows());
+    EXPECT_EQ(part.num_cols(), solo.num_cols());
+    EXPECT_FALSE(part.has_row_ids());
+    EXPECT_FALSE(part.rows_compact());
+    ASSERT_TRUE(part.has_col_ids());
+    EXPECT_EQ(part.col_ids().ToVector(), batch);
+    EXPECT_EQ(part.Csc().values.defined(), GetParam());
+    EXPECT_EQ(EdgeSet(part), want[static_cast<size_t>(b)]);
+    EXPECT_EQ(EdgeSet(part), EdgeSet(solo));
+  }
+  EXPECT_EQ(parts[1].num_cols(), 0);
+  EXPECT_EQ(parts[1].nnz(), 0);
+}
+
+TEST_P(SplitSegmentsTest, CompactedSpaceRenumbersRowsPerSegment) {
+  graph::Graph g = gs::testing::SmallRmat(300, 3000, 9, /*weighted=*/GetParam());
+  const int64_t n = g.num_nodes();
+  const int64_t segments = static_cast<int64_t>(kBatches.size());
+  Matrix seg = SegmentedSliceColumns(g.adj(), LabelBatches(n), segments);
+  Rng rng(171);
+  Matrix sample = SegmentedCollectiveSample(seg, 6, SumAxis(seg, 0), n, rng);
+  ASSERT_TRUE(sample.rows_compact());
+  ASSERT_TRUE(sample.has_row_ids());
+
+  std::vector<Matrix> parts = SplitSegments(sample, segments, n);
+  ASSERT_EQ(static_cast<int64_t>(parts.size()), segments);
+  const auto want = SegmentEdgeSets(sample, segments, n);
+  int64_t total_rows = 0;
+  for (int64_t b = 0; b < segments; ++b) {
+    const Matrix& part = parts[static_cast<size_t>(b)];
+    EXPECT_TRUE(part.rows_compact());
+    ASSERT_TRUE(part.has_row_ids());
+    ASSERT_TRUE(part.has_col_ids());
+    EXPECT_EQ(part.col_ids().ToVector(), kBatches[static_cast<size_t>(b)]);
+    EXPECT_EQ(part.Csc().values.defined(), GetParam());
+    // Exactly the rows labeled into segment b, in order, as node ids.
+    std::vector<int32_t> rows;
+    for (int64_t r = 0; r < sample.num_rows(); ++r) {
+      if (sample.row_ids()[r] / n == b) {
+        rows.push_back(static_cast<int32_t>(sample.row_ids()[r] % n));
+      }
+    }
+    EXPECT_EQ(part.row_ids().ToVector(), rows);
+    EXPECT_LE(part.num_rows(), 6);
+    EXPECT_EQ(EdgeSet(part), want[static_cast<size_t>(b)]);
+    total_rows += part.num_rows();
+  }
+  EXPECT_EQ(total_rows, sample.num_rows());
+  EXPECT_EQ(parts[1].num_rows(), 0);
+  EXPECT_EQ(parts[1].num_cols(), 0);
+  EXPECT_EQ(parts[1].nnz(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Weighted, SplitSegmentsTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Weighted" : "Unweighted";
+                         });
+
+TEST(SplitSegments, RejectsColumnsOutOfSegmentOrder) {
   graph::Graph g = gs::testing::SmallRmat();
-  IdArray cols = IdArray::FromVector({4, 5, 6, 7});
-  Matrix sub = SliceColumns(g.adj(), cols);
-  Matrix range = SliceColumnRange(sub, 1, 3);
-  EXPECT_EQ(range.num_cols(), 2);
-  ASSERT_TRUE(range.has_col_ids());
-  EXPECT_EQ(range.col_ids()[0], 5);
-  EXPECT_EQ(range.col_ids()[1], 6);
-  EXPECT_THROW(SliceColumnRange(sub, 3, 1), Error);
-  EXPECT_THROW(SliceColumnRange(sub, 0, 9), Error);
+  const int64_t n = g.num_nodes();
+  Matrix seg = SegmentedSliceColumns(
+      g.adj(), IdArray::FromVector({static_cast<int32_t>(n + 1), 2}), 2);
+  EXPECT_THROW(SplitSegments(seg, 2, n), Error);
 }
 
 TEST(MapIdsModulo, WrapsAndKeepsNegatives) {

@@ -43,8 +43,10 @@
 #            sample like a from-scratch reload.
 #   asan     sessions and pinned snapshots dropped while executions may hold
 #            them (serving, dynamic, plan, soak), the fused kernels, the
-#            oracle, and the failover, degraded and retry paths (ha, shard,
-#            chaos soak), under ASan + UBSan.
+#            oracle, the failover, degraded and retry paths (ha, shard,
+#            chaos soak), and the super-batch segmented kernels and split
+#            with their labeled-id index arithmetic (sparse batch, engine),
+#            under ASan + UBSan.
 #   chaos    the gs::fault suites (test_fault + the chaos soak) under TSan.
 #
 # Exits non-zero on the first failing step.
@@ -63,7 +65,7 @@ TIERS=(
   "feature | feature     | thread            | test_feature                      | --seeds 100 --features             |"
   "ha      | ha          | thread            | test_ha                           | --seeds 60 --shards 2 --kill-shard |"
   "dynamic | dynamic     | thread            | test_dyn                          | --seeds 100 --mutate               |"
-  "asan    |             | address,undefined | test_serving test_dyn test_plan test_serving_soak test_fused test_oracle test_ha test_shard test_fault_soak | |"
+  "asan    |             | address,undefined | test_serving test_dyn test_plan test_serving_soak test_fused test_oracle test_ha test_shard test_fault_soak test_sparse_batch test_engine | |"
   "chaos   |             | thread            | test_fault test_fault_soak        |                                    |"
 )
 
